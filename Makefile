@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-race cover check bench bench-cpu bench-smoke bench-compare
+.PHONY: all build vet test benchmark-test race chaos chaos-race cover check bench bench-cpu bench-smoke bench-compare
 
 # Minimum cross-package statement coverage (see `make cover`). Raise it
 # when coverage rises; never lower it to merge.
@@ -29,6 +29,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own, so `go test ./...` never compiles
+# it: a core/ds/serve API change can break the repository benchmark
+# unseen. This vets and tests it against the working tree (~1 min).
+benchmark-test:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 race:
 	$(GO) test -race ./...
@@ -69,16 +76,19 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% fell below the floor of $(COVER_FLOOR)%"; exit 1; }
 
-check: vet build race chaos
+check: vet build race benchmark-test chaos
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 
 # Wall-clock hot-path microbenchmarks (rings, doorbells, zero-alloc
 # codecs) at a fixed iteration count: fast, and allocs/op is exact and
-# host-independent even though ns/op is not.
+# host-independent even though ns/op is not. The second command is the
+# full sweep, which enforces the SPSC-vs-channel speed-up floors (ratios
+# of host times: enforced here and in bench-smoke, not in `go test`).
 bench-cpu: build
 	$(GO) test -run NONE -bench Hotpath -benchtime=100x -benchmem ./internal/bench/
+	$(GO) run ./cmd/asymnvm-bench -exp hotpath
 
 # A fast CI-sized slice of the benchmark suite: the posted-verb pipeline
 # sweep at reduced population, plus the cross-shard scale-out sweep

@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -26,8 +27,11 @@ import (
 // typical depth class (power of two, far larger than the pipe depth).
 const hotCap = 1024
 
-// The acceptance gates: HotpathSweep fails outright when the SPSC ring
-// does not beat the buffered channel by these factors.
+// The acceptance gates: HotpathSweep fails with ErrHotpathFloor (rows
+// still returned) when the SPSC ring does not beat the buffered channel
+// by these factors. They are ratios of host times, which a busy or small
+// host moves: `make bench-cpu` and `make bench-smoke` enforce them, the
+// tier-1 test only the row schema and the allocation counts.
 //
 //   - handoffSpeedupFloor guards the cross-goroutine handoff — the
 //     headline claim of the ring refactor. It only arms on hosts with
@@ -43,6 +47,10 @@ const (
 	handoffSpeedupFloor = 2.0
 	pushpopSpeedupFloor = 1.5
 )
+
+// ErrHotpathFloor marks a HotpathSweep failure that is a missed speed-up
+// floor, as opposed to a broken sweep.
+var ErrHotpathFloor = errors.New("hotpath: speed-up floor missed")
 
 // hotSPSCHandoff streams b.N values through an SPSC ring, consumer on
 // its own goroutine. The timer covers the full handoff: all pushes plus
@@ -340,12 +348,12 @@ func HotpathSweep() ([]Row, error) {
 		Extra:      map[string]float64{"pushpop": pushpop, "handoff": handoff},
 	})
 	if pushpop < pushpopSpeedupFloor {
-		return rows, fmt.Errorf("hotpath: SPSC ring push+pop only %.2fx faster than channel (floor %.1fx): ring %.1f ns/op, channel %.1f ns/op",
-			pushpop, pushpopSpeedupFloor, nsOf["spsc-ring/pushpop"], nsOf["channel/pushpop"])
+		return rows, fmt.Errorf("%w: SPSC ring push+pop only %.2fx faster than channel (floor %.1fx): ring %.1f ns/op, channel %.1f ns/op",
+			ErrHotpathFloor, pushpop, pushpopSpeedupFloor, nsOf["spsc-ring/pushpop"], nsOf["channel/pushpop"])
 	}
 	if runtime.GOMAXPROCS(0) >= 2 && handoff < handoffSpeedupFloor {
-		return rows, fmt.Errorf("hotpath: SPSC ring handoff only %.2fx faster than channel (floor %.1fx): ring %.1f ns/op, channel %.1f ns/op",
-			handoff, handoffSpeedupFloor, nsOf["spsc-ring/handoff"], nsOf["channel/handoff"])
+		return rows, fmt.Errorf("%w: SPSC ring handoff only %.2fx faster than channel (floor %.1fx): ring %.1f ns/op, channel %.1f ns/op",
+			ErrHotpathFloor, handoff, handoffSpeedupFloor, nsOf["spsc-ring/handoff"], nsOf["channel/handoff"])
 	}
 	return rows, nil
 }

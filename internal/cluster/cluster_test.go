@@ -7,6 +7,7 @@ import (
 	"asymnvm/internal/clock"
 	"asymnvm/internal/core"
 	"asymnvm/internal/ds"
+	"asymnvm/internal/fault"
 	"asymnvm/internal/logrec"
 )
 
@@ -241,11 +242,12 @@ func TestFrontendWriterCrashRecovery(t *testing.T) {
 	if err := st.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: append an op log directly with no memory logs
-	// and never unlock.
-	h := st.Handle()
-	if _, err := h.OpLog(ds.OpPush, append(make([]byte, 8), []byte("two")...)); err != nil {
-		t.Fatal(err)
+	// The crash: the writer dies inside its commit flush, after the op
+	// group's segment sealed and before any byte of the commit record
+	// arrived, and never unlocks.
+	conns[0].Endpoint().SetFault(fault.LoseCommitRecord(conns[0].Frontend().Stats()))
+	if err := st.Push([]byte("two")); err == nil {
+		t.Fatal("push through a dying commit flush succeeded")
 	}
 	cl.KA.Expire("frontend1")
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"asymnvm/internal/logrec"
 	"asymnvm/internal/rdma"
 	"asymnvm/internal/trace"
 )
@@ -154,113 +153,15 @@ func (p *PendingReads) Settle() ([][]byte, error) {
 	return p.out, nil
 }
 
-// PendingFlush is an in-flight batch flush posted by FlushAsync. The
-// handle must not run further operations until Settle returns.
-type PendingFlush struct {
-	h       *Handle
-	toks    []rdma.Token
-	groups  [][]rdma.WriteOp
-	opBuf   []byte // op-log bytes owned by the in-flight WRs until Settle
-	wireLen int
-	hasTx   bool
-	settled bool
-}
-
-// FlushAsync is the posted half of Flush: the op-log group commit and the
-// pending rnvm_tx_write record are posted under one doorbell — like
-// flushPipelined — but not waited for, so flushes on other back-ends can
-// be posted before any of them is settled. On a connection without the
-// pipeline it degrades to a synchronous Flush and returns an inert
-// PendingFlush.
+// FlushAsync is the posted half of Flush: the same fused commit vector
+// under one doorbell, but not waited for, so flushes on other back-ends
+// can be posted before any of them is settled. On a connection without
+// the pipeline the flush is synchronous and the returned PendingFlush is
+// already settled.
 func (h *Handle) FlushAsync() (*PendingFlush, error) {
-	if !h.writer || !h.c.fe.mode.OpLog {
-		return &PendingFlush{}, nil
-	}
-	if !h.c.pipelined() {
-		return &PendingFlush{}, h.Flush()
-	}
-	if err := h.settleAsyncOps(); err != nil {
+	pf, err := h.commit(nil, true)
+	if err != nil {
 		return nil, err
 	}
-	h.commitT0 = h.c.fe.clk.Now()
-	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindCommit, uint64(len(h.pending)))
-	defer tr.End()
-	if err := h.waitOpSpace(); err != nil {
-		return nil, err
-	}
-	pf := &PendingFlush{h: h}
-	if len(h.pending) > 0 {
-		rec := logrec.TxRecord{
-			DSSlot:  h.slot,
-			Abs:     h.memTail,
-			CoverOp: h.coveredOp,
-			Entries: h.pending,
-		}
-		// The handle runs no further operations until Settle, so the
-		// shared tx scratch stays untouched while the WR is in flight.
-		wire := rec.AppendTo(h.txBuf[:0])
-		h.txBuf = wire
-		if err := h.waitMemSpace(len(wire)); err != nil {
-			return nil, err
-		}
-		if h.opBufCnt > 0 {
-			pf.groups = append(pf.groups, h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf))
-		}
-		pf.groups = append(pf.groups, h.areaWriteOps(h.memArea, h.memTail, wire))
-		pf.wireLen = len(wire)
-		pf.hasTx = true
-	} else if h.opBufCnt > 0 {
-		pf.groups = append(pf.groups, h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf))
-	}
-	if len(pf.groups) == 0 {
-		pf.settled = true
-		return pf, nil
-	}
-	for _, g := range pf.groups {
-		pf.toks = append(pf.toks, h.c.ep.PostWriteV(g))
-	}
-	h.c.ep.Doorbell()
-	if h.opBufCnt > 0 {
-		// The backing array belongs to the in-flight WR until Settle,
-		// which recycles it into the handle's freelist.
-		pf.opBuf = h.opBuf
-		h.opBuf = h.takeBuf()
-		h.opBufCnt = 0
-	}
-	h.c.kick()
-	return pf, nil
-}
-
-// Settle waits the posted flush out and completes the commit. A faulted
-// completion re-drives every group synchronously through the
-// retry/failover policy — rewriting the same log bytes at the same
-// offsets is idempotent, like the sync path's retry.
-func (pf *PendingFlush) Settle() error {
-	if pf == nil || pf.h == nil || pf.settled {
-		return nil
-	}
-	pf.settled = true
-	h := pf.h
-	var failed bool
-	for _, tok := range pf.toks {
-		if h.c.ep.Wait(tok) != nil {
-			failed = true
-		}
-	}
-	if failed {
-		h.c.fe.st.VerbRetries.Add(1)
-		if err := h.c.epWriteGroups(pf.groups...); err != nil {
-			return err
-		}
-	}
-	if pf.opBuf != nil {
-		h.bufFree = append(h.bufFree, pf.opBuf[:0])
-		pf.opBuf = nil
-	}
-	if pf.hasTx {
-		return h.finishTx(pf.wireLen)
-	}
-	h.c.kick()
-	return nil
+	return &pf, nil
 }

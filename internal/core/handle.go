@@ -107,8 +107,8 @@ type Handle struct {
 	opArea  logrec.Area
 
 	// Writer-side state (valid when writer is true).
-	writer       bool
-	lockHeld     bool
+	writer   bool
+	lockHeld bool
 	// shared marks the writer lock as contended by other front-ends
 	// (striped structures): acquisition resyncs the log tails from the
 	// durable hints the previous holder left, and release drains so the
@@ -125,10 +125,10 @@ type Handle struct {
 	rootCAS     bool
 	rootCASSlot uint16
 	rootSeen    uint64
-	memTail      uint64
-	opTail       uint64
-	lpnKnown     uint64
-	opnKnown     uint64
+	memTail     uint64
+	opTail      uint64
+	lpnKnown    uint64
+	opnKnown    uint64
 	// Log append-space gates. With the compaction plane, reclaimed space
 	// is bounded by the truncation points, not the replay cursors: the
 	// back-end may have applied a record (LPN past it) without having
@@ -136,24 +136,26 @@ type Handle struct {
 	// Without compaction the back-end advances both in lockstep.
 	memTruncKnown uint64
 	opTruncKnown  uint64
-	pending      []logrec.MemEntry
-	pendingAddrs []uint64
-	coveredOp    uint64
-	opsInTx      int
-	opBuf        []byte
-	opBufAbs     uint64
-	opBufCnt     int
-	asyncOps     []asyncOpFlush
-	// txBuf is the commit record's reused encode scratch (safe because
-	// every flush path waits its WRs out before the next encode). bufFree
-	// recycles op buffers whose ownership moved to in-flight WRs once
-	// those WRs settle.
+	pending       []logrec.MemEntry
+	pendingAddrs  []uint64
+	coveredOp     uint64
+	opsInTx       int
+	opBuf         []byte
+	opBufAbs      uint64
+	opBufCnt      int
+	asyncOps      []asyncOpFlush
+	// txBuf is the commit record's reused encode scratch and vec the fused
+	// commit vector's (safe because every flush path waits its WRs out
+	// before the next build; a posted flush takes vec along until Settle).
+	// bufFree recycles op buffers whose ownership moved to in-flight WRs
+	// once those WRs settle.
 	txBuf   []byte
+	vec     []rdma.WriteOp
 	bufFree [][]byte
-	overlay      map[uint64]*ovEntry
-	ovSeq        uint64
-	marks        []flushMark
-	gcList       []gcItem
+	overlay map[uint64]*ovEntry
+	ovSeq   uint64
+	marks   []flushMark
+	gcList  []gcItem
 	// gcTxStart is gcList's length at the last transaction boundary;
 	// aborts truncate back to it, un-scheduling DelayedFrees the rolled
 	// back operations issued against nodes that remain live.
@@ -167,10 +169,10 @@ type Handle struct {
 
 	// opGroupCommit defers op-log flushes to the batch boundary. Off by
 	// default: §4.3's write durability point is the op-log persist, so
-	// each operation flushes its op record immediately (Figure 2, line
-	// 15). Stack and queue enable it — their §8.1 annihilation keeps
-	// "un-executed operation logs in the front-end memory", trading a
-	// bounded durability window for group commit.
+	// under batching each operation persists its op record on its own
+	// (Figure 2, line 15). Stack and queue enable it — their §8.1
+	// annihilation keeps "un-executed operation logs in the front-end
+	// memory", trading a bounded durability window for group commit.
 	opGroupCommit bool
 
 	// commitT0 is the virtual time the in-progress commit flush started
@@ -181,6 +183,9 @@ type Handle struct {
 	// (twopc.go): batch-quota flushes are suppressed so the buffered
 	// memory logs leave the front-end only inside a PrepareRecord.
 	hold2pc bool
+	// grouped marks an open BeginGroup/EndGroup bracket: the same hold,
+	// request-scoped, ended by one ordinary commit flush.
+	grouped bool
 	// inDoubt / unEnded are populated by the writer's recovery scan
 	// (recoverTails): prepares with no resolving decision in this log,
 	// and coordinator commit records not yet forgotten by a KindEnd.
@@ -462,11 +467,18 @@ func (h *Handle) write(addr uint64, data []byte, opAbs uint64, srcOff uint32, fr
 	return nil
 }
 
-// OpLog implements rnvm_op_log: it persists {opType, params} for this
-// structure and returns the record's absolute op-log offset, which
-// WriteFromOp entries may reference. With batching the record joins a
-// group commit flushed together with the next rnvm_tx_write; without, it
-// is a single immediate RDMA write — the write's durability point.
+// OpLog implements rnvm_op_log: it appends {opType, params} for this
+// structure to the op-record buffer and returns the record's absolute
+// op-log offset, which WriteFromOp entries may reference. Without batching
+// the record rides the operation's own commit flush at EndOp — op-log
+// segments first, commit record behind them, one round trip — and that
+// flush, still ahead of the acknowledgement, is the write's durability
+// point. (On a pipelined connection the record is posted here without a
+// doorbell: it leaves with the first fabric access of the operation's
+// gather phase and overlaps with it, or, on a warm cache, with the commit
+// record under the commit's doorbell.) With batching the record is
+// persisted per operation, ahead of the batched rnvm_tx_write that covers
+// it (or joins the group commit of stack/queue).
 func (h *Handle) OpLog(opType uint8, params []byte) (uint64, error) {
 	if !h.writer {
 		return 0, ErrNotWriter
@@ -491,22 +503,49 @@ func (h *Handle) OpLog(opType uint8, params []byte) (uint64, error) {
 	h.opBufCnt++
 	h.opTail += uint64(rec.EncodedLen())
 	fe.st.OpLogs.Add(1)
-	// Enrolled in a cross-shard transaction the op records must not become
-	// durable ahead of the prepare (their durability point moves to phase
-	// one), so the group stays buffered until prepareAsync flushes it
-	// under the prepare record's doorbell.
-	if (fe.mode.Batch <= 1 || !h.opGroupCommit) && !h.hold2pc {
-		if h.c.pipelined() {
-			// Post the record and let its round trip fly while the
-			// operation keeps gathering; EndOp settles the completion.
-			if err := h.flushOpsAsync(); err != nil {
-				return 0, err
-			}
-		} else if err := h.flushOps(); err != nil {
-			return 0, err
+	// Held (cross-shard transaction or request group) the records must not
+	// become durable ahead of the flush that ends the hold: a prepare moves
+	// their durability point to phase one, a group to EndGroup.
+	var err error
+	switch {
+	case h.held():
+	case fe.mode.Batch > 1:
+		if !h.opGroupCommit {
+			err = h.persistOps(true)
 		}
+	case h.c.pipelined():
+		err = h.persistOps(false)
 	}
-	return rec.Abs, nil
+	return rec.Abs, err
+}
+
+// held reports whether batch-quota flushes and per-operation op-record
+// persists are suppressed: the handle is enrolled in a cross-shard
+// transaction or inside a BeginGroup/EndGroup bracket.
+func (h *Handle) held() bool { return h.hold2pc || h.grouped }
+
+// BeginGroup opens a request-scoped group commit: until EndGroup the
+// operations run buffer their op records and memory logs in the front-end
+// — nothing reaches the fabric — so N operations of one request become N
+// op records and one commit record in a single round trip. Whatever a
+// batched mode still holds from earlier operations is flushed first, so
+// the group is a transaction of its own and aborting it touches nothing
+// that was acknowledged before.
+func (h *Handle) BeginGroup() error {
+	if err := h.Flush(); err != nil {
+		return err
+	}
+	h.grouped = true
+	return nil
+}
+
+// EndGroup closes the bracket and flushes the group; its return is the
+// durability point of every operation in it. A caller whose operation
+// failed inside the bracket calls Abort instead, which drops the whole
+// group: none of its op records ever left the front-end.
+func (h *Handle) EndGroup() error {
+	h.grouped = false
+	return h.Flush()
 }
 
 // EndOp marks the end of one data-structure operation: every memory log
@@ -517,16 +556,16 @@ func (h *Handle) EndOp() error {
 	if !h.writer || !h.c.fe.mode.OpLog {
 		return nil
 	}
-	// The op record's persist is the operation's durability point (§4.3):
-	// an async flush posted during the op must settle before the op is
-	// considered done — this is where the overlapped round trip is paid,
-	// minus whatever the gather phase already hid.
-	if err := h.settleAsyncOps(); err != nil {
+	// An op record in flight since the op's gather phase must settle
+	// before the op is considered done — this is where the overlapped
+	// round trip is paid, minus whatever the gather phase already hid.
+	// One still queued waits for the commit's doorbell below.
+	if err := h.settleAsyncOps(false); err != nil {
 		return err
 	}
 	h.coveredOp = h.opTail
 	h.opsInTx++
-	if h.opsInTx >= h.c.fe.effBatch() && !h.hold2pc {
+	if h.opsInTx >= h.c.fe.effBatch() && !h.held() {
 		return h.Flush()
 	}
 	return nil
@@ -541,56 +580,208 @@ func (h *Handle) InDoubtPrepares() []logrec.PrepareRecord { return h.inDoubt }
 // records the writer's recovery scan found without a matching KindEnd.
 func (h *Handle) UnEndedCommits() []uint64 { return h.unEnded }
 
-// Flush forces the op-log group commit and the pending rnvm_tx_write out.
-// With the pipeline enabled and both buffers non-empty, the op-log group
-// and the transaction record are posted as two work requests under a
-// single doorbell: one round trip covers the whole batch flush instead
-// of two (§4.3's batching taken to its fabric-level conclusion).
+// Flush forces the buffered op records and the pending rnvm_tx_write out
+// in one fabric round trip (see commit) and waits for it.
 func (h *Handle) Flush() error {
-	if !h.writer || !h.c.fe.mode.OpLog {
-		return nil
-	}
-	if err := h.settleAsyncOps(); err != nil {
-		return err
-	}
-	if h.c.pipelined() && h.opBufCnt > 0 && len(h.pending) > 0 {
-		return h.flushPipelined()
-	}
-	if err := h.flushOps(); err != nil {
-		return err
-	}
-	return h.txWrite()
+	_, err := h.commit(nil, false)
+	return err
 }
 
-// flushOps writes the buffered op records to the op-log area in one
-// doorbell (§4.3: persisting an operation log is a single RDMA write).
-func (h *Handle) flushOps() error {
-	if h.opBufCnt == 0 {
-		return nil
+// prepareHdr is the cross-shard identity that turns a commit flush into
+// phase one of 2PC: the buffered entries leave inside a PrepareRecord.
+type prepareHdr struct {
+	txid                 uint64
+	coordNode, coordSlot uint16
+}
+
+// PendingFlush is a commit flush posted by FlushAsync (or a 2PC prepare)
+// whose fused write may still be in flight. The handle must not run
+// further operations until Settle returns: the in-flight WRs own the
+// handle's commit scratch until then.
+type PendingFlush struct {
+	h       *Handle
+	toks    [2]rdma.Token
+	nTok    int
+	vec     []rdma.WriteOp // fused vector, kept for the re-drive
+	opBuf   []byte         // op-record bytes the in-flight WR slices into
+	wireLen int            // record bytes appended to the memory log
+	prepare bool
+	settled bool
+}
+
+// commit is the one commit flush: the fused vector [op-log segments…,
+// memory-log record segments…] is built once into the handle's scratch
+// and issued under one doorbell — as posted work requests when it is to
+// fly asynchronously or joins an op record OpLog left queued, as a single
+// WriteV otherwise. Segments execute and seal in posted order either way
+// and a failed one flushes everything behind it, so the record can never
+// become durable over a hole in the op log; the retry rewrites the same
+// bytes at the same offsets, idempotently. prep turns the record into a
+// PrepareRecord. With async set (and a pipelined connection) the flush
+// is posted but not waited for and the returned PendingFlush completes
+// it; otherwise the flush is complete on return.
+func (h *Handle) commit(prep *prepareHdr, async bool) (PendingFlush, error) {
+	done := PendingFlush{settled: true}
+	if !h.writer || !h.c.fe.mode.OpLog {
+		return done, nil
 	}
+	// The record covers op-log offsets up to coveredOp. Op records already
+	// in flight are waited out (and re-driven) before it is issued: doorbell
+	// groups fail independently. Ones still queued share its doorbell.
+	if err := h.settleAsyncOps(false); err != nil {
+		return done, err
+	}
+	// inFlush marks waitOpSpace's make-room flush, which sends the pending
+	// record alone so the back-end can advance op-log coverage.
+	withOps := h.opBufCnt > 0 && !h.inFlush
+	if !withOps && len(h.pending) == 0 && prep == nil {
+		return done, h.settleAsyncOps(true)
+	}
+	h.commitT0 = h.c.fe.clk.Now()
 	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindOpLogFlush, uint64(len(h.opBuf)))
+	if len(h.pending) == 0 && prep == nil {
+		tr.BeginArg(trace.KindOpLogFlush, uint64(len(h.opBuf)))
+	} else {
+		tr.BeginArg(trace.KindCommit, uint64(len(h.pending)))
+	}
 	defer tr.End()
-	if err := h.waitOpSpace(); err != nil {
-		return err
+	if withOps {
+		if err := h.waitOpSpace(); err != nil {
+			return done, err
+		}
 	}
-	ops := h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf)
-	if err := h.c.epWriteV(ops); err != nil {
-		return err
+	// Encode into the handle's reused scratch. waitOpSpace may have sent
+	// the pending entries ahead to make room; then only the op group is left.
+	var wire []byte
+	switch {
+	case prep != nil:
+		rec := logrec.PrepareRecord{
+			DSSlot:    h.slot,
+			Abs:       h.memTail,
+			TxID:      prep.txid,
+			CoordNode: prep.coordNode,
+			CoordSlot: prep.coordSlot,
+			CoverOp:   h.coveredOp,
+			Entries:   h.pending,
+		}
+		wire = rec.AppendTo(h.txBuf[:0])
+	case len(h.pending) > 0:
+		rec := logrec.TxRecord{
+			DSSlot:  h.slot,
+			Abs:     h.memTail,
+			CoverOp: h.coveredOp,
+			Entries: h.pending,
+		}
+		wire = rec.AppendTo(h.txBuf[:0])
 	}
-	h.opBuf = h.opBuf[:0]
-	h.opBufCnt = 0
+	if wire != nil {
+		h.txBuf = wire
+		if err := h.waitMemSpace(len(wire)); err != nil {
+			return done, err
+		}
+	}
+	vec := h.vec[:0]
+	if withOps {
+		vec = appendAreaOps(vec, h.opArea, h.opBufAbs, h.opBuf)
+	}
+	split := len(vec)
+	vec = appendAreaOps(vec, h.memArea, h.memTail, wire)
+	h.vec = vec
+	pf := PendingFlush{h: h, wireLen: len(wire), prepare: prep != nil}
+	// Posting pays when the caller overlaps the flight (async) or a queued
+	// op record shares the doorbell; alone, a WriteV is the same round
+	// trip without the posting cost.
+	if h.c.pipelined() && (async || len(h.asyncOps) > 0) {
+		// One WR per half, one doorbell. Scratch and op buffer belong to
+		// the in-flight WRs until Settle hands them back.
+		if split > 0 {
+			pf.toks[pf.nTok] = h.c.ep.PostWriteV(vec[:split])
+			pf.nTok++
+		}
+		if split < len(vec) {
+			pf.toks[pf.nTok] = h.c.ep.PostWriteV(vec[split:])
+			pf.nTok++
+		}
+		h.c.ep.Doorbell()
+		pf.vec, h.vec = vec, nil
+		if withOps {
+			pf.opBuf = h.opBuf
+			h.opBuf = h.takeBuf()
+			h.opBufCnt = 0
+		}
+		h.c.kick()
+		if async {
+			return pf, nil
+		}
+		return done, pf.Settle()
+	}
+	if err := h.c.epWriteV(vec); err != nil {
+		return done, err
+	}
+	if withOps {
+		h.opBuf = h.opBuf[:0]
+		h.opBufCnt = 0
+	}
+	return done, pf.complete()
+}
+
+// complete is the post-durability bookkeeping of a commit flush.
+func (pf *PendingFlush) complete() error {
+	h := pf.h
+	switch {
+	case pf.prepare:
+		// The entries stay buffered until the decision (finish2PC).
+		h.memTail += uint64(pf.wireLen)
+	case pf.wireLen > 0:
+		return h.finishTx(pf.wireLen)
+	}
 	h.c.kick()
 	return nil
 }
 
-// flushOpsAsync posts the buffered op records as one work request and
-// rings the doorbell without waiting for the completion: the record's
+// Settle waits the posted flush out and completes the commit. Op records
+// that shared its doorbell settle first, so a re-driven record lands over
+// a whole op log. A faulted completion re-drives the whole vector
+// synchronously through the retry/failover policy — rewriting the same
+// log bytes at the same offsets is idempotent, like the sync path's retry.
+func (pf *PendingFlush) Settle() error {
+	if pf == nil || pf.settled || pf.h == nil {
+		return nil
+	}
+	pf.settled = true
+	h := pf.h
+	err := h.settleAsyncOps(true)
+	failed := false
+	for _, tok := range pf.toks[:pf.nTok] {
+		if h.c.ep.Wait(tok) != nil {
+			failed = true
+		}
+	}
+	if failed && err == nil {
+		h.c.fe.st.VerbRetries.Add(1)
+		err = h.c.epWriteV(pf.vec)
+	}
+	h.vec, pf.vec = pf.vec[:0], nil
+	if pf.opBuf != nil {
+		h.bufFree = append(h.bufFree, pf.opBuf[:0])
+		pf.opBuf = nil
+	}
+	if err != nil {
+		return err
+	}
+	return pf.complete()
+}
+
+// persistOps sends the buffered op records ahead of the commit flush
+// (§4.3: persisting an operation log is a single RDMA write): the batched
+// modes' per-operation persist, ahead of the batched memory logs that may
+// point into it. On a pipelined connection the record is posted and its
 // round trip overlaps with the remainder of the operation (gather,
-// compute, memory-log appends) and is settled at EndOp, which remains
-// the §4.3 durability point. The buffer's ownership moves to the posted
-// WR until then.
-func (h *Handle) flushOpsAsync() error {
+// compute, memory-log appends); EndOp settles it. Without ring the posted
+// record waits in the send queue for the next doorbell — the operation's
+// first fabric access, or its commit. The buffer's ownership moves to the
+// posted WR until it settles.
+func (h *Handle) persistOps(ring bool) error {
 	if h.opBufCnt == 0 {
 		return nil
 	}
@@ -600,9 +791,23 @@ func (h *Handle) flushOpsAsync() error {
 	if err := h.waitOpSpace(); err != nil {
 		return err
 	}
-	ops := h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf)
+	if !h.c.pipelined() {
+		h.vec = appendAreaOps(h.vec[:0], h.opArea, h.opBufAbs, h.opBuf)
+		if err := h.c.epWriteV(h.vec); err != nil {
+			return err
+		}
+		h.opBuf = h.opBuf[:0]
+		h.opBufCnt = 0
+		h.c.kick()
+		return nil
+	}
+	// The vector outlives this call (kept for the settle's re-issue), so
+	// it cannot live in the shared scratch.
+	ops := appendAreaOps(nil, h.opArea, h.opBufAbs, h.opBuf)
 	tok := h.c.ep.PostWriteV(ops)
-	h.c.ep.Doorbell()
+	if ring {
+		h.c.ep.Doorbell()
+	}
 	h.asyncOps = append(h.asyncOps, asyncOpFlush{tok: tok, ops: ops, buf: h.opBuf})
 	// The backing array belongs to the in-flight WR until settled (it
 	// comes back through bufFree); continue gathering into a recycled one.
@@ -622,113 +827,44 @@ func (h *Handle) takeBuf() []byte {
 	return nil
 }
 
-// settleAsyncOps waits out every posted op-log flush. A completion that
-// carries a fault is re-driven synchronously through the retry/failover
-// policy — re-writing the same log bytes at the same offsets is
-// idempotent, exactly like the sync path's in-place retry.
-func (h *Handle) settleAsyncOps() error {
-	if len(h.asyncOps) == 0 {
+// settleAsyncOps waits out the posted op-record persists — all of them,
+// or with all unset only those whose doorbell has been rung, leaving the
+// queued ones to the next doorbell. A completion that carries a fault is
+// re-driven synchronously through the retry/failover policy — re-writing
+// the same log bytes at the same offsets is idempotent, exactly like the
+// sync path's in-place retry.
+func (h *Handle) settleAsyncOps(all bool) error {
+	n := len(h.asyncOps)
+	if !all {
+		for n > 0 && !h.c.ep.Rung(h.asyncOps[n-1].tok) {
+			n--
+		}
+	}
+	if n == 0 {
 		return nil
 	}
 	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindOpLogFlush, uint64(len(h.asyncOps)))
+	tr.BeginArg(trace.KindOpLogFlush, uint64(n))
 	defer tr.End()
-	pend := h.asyncOps
-	h.asyncOps = h.asyncOps[:0]
-	for _, af := range pend {
-		if err := h.c.ep.Wait(af.tok); err != nil {
+	var first error
+	for _, af := range h.asyncOps[:n] {
+		if err := h.c.ep.Wait(af.tok); err != nil && first == nil {
 			h.c.fe.st.VerbRetries.Add(1)
-			if err := h.c.epWriteV(af.ops); err != nil {
-				return err
+			if first = h.c.epWriteV(af.ops); first == nil {
+				h.c.kick()
 			}
-			h.c.kick()
 		}
 		if af.buf != nil {
 			h.bufFree = append(h.bufFree, af.buf[:0])
 		}
 	}
-	return nil
+	h.asyncOps = h.asyncOps[:copy(h.asyncOps, h.asyncOps[n:])]
+	return first
 }
 
-// txWrite implements rnvm_tx_write: the buffered memory logs, a commit
-// flag and a checksum, appended to the memory-log area with one doorbell.
-func (h *Handle) txWrite() error {
-	if len(h.pending) == 0 {
-		return nil
-	}
-	h.commitT0 = h.c.fe.clk.Now()
-	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindCommit, uint64(len(h.pending)))
-	defer tr.End()
-	// The commit record covers op-log offsets up to coveredOp; any async
-	// op flush must be durable before a record referencing it commits.
-	if err := h.settleAsyncOps(); err != nil {
-		return err
-	}
-	rec := logrec.TxRecord{
-		DSSlot:  h.slot,
-		Abs:     h.memTail,
-		CoverOp: h.coveredOp,
-		Entries: h.pending,
-	}
-	// Encode into the handle's reused scratch: epWriteV waits the WR out
-	// before returning, so the buffer is free again by the next commit.
-	wire := rec.AppendTo(h.txBuf[:0])
-	h.txBuf = wire
-	if err := h.waitMemSpace(len(wire)); err != nil {
-		return err
-	}
-	ops := h.areaWriteOps(h.memArea, h.memTail, wire)
-	if err := h.c.epWriteV(ops); err != nil {
-		return err
-	}
-	return h.finishTx(len(wire))
-}
-
-// flushPipelined is the pipelined batch flush: the op-log group commit
-// and the rnvm_tx_write record are posted as two WRs and issued with ONE
-// doorbell. The op group executes first (posted order), so the commit
-// record can never become durable over a hole in the op log; a fault in
-// either WR fails the call and the retry re-posts both, idempotently.
-func (h *Handle) flushPipelined() error {
-	h.commitT0 = h.c.fe.clk.Now()
-	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindCommit, uint64(len(h.pending)))
-	defer tr.End()
-	if err := h.waitOpSpace(); err != nil {
-		return err
-	}
-	if len(h.pending) == 0 {
-		// waitOpSpace flushed the transaction to make room; only the op
-		// group is left.
-		return h.flushOps()
-	}
-	rec := logrec.TxRecord{
-		DSSlot:  h.slot,
-		Abs:     h.memTail,
-		CoverOp: h.coveredOp,
-		Entries: h.pending,
-	}
-	// Reused scratch, same contract as txWrite: epWriteGroups is
-	// synchronous with respect to its payload buffers.
-	wire := rec.AppendTo(h.txBuf[:0])
-	h.txBuf = wire
-	if err := h.waitMemSpace(len(wire)); err != nil {
-		return err
-	}
-	opOps := h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf)
-	memOps := h.areaWriteOps(h.memArea, h.memTail, wire)
-	if err := h.c.epWriteGroups(opOps, memOps); err != nil {
-		return err
-	}
-	h.opBuf = h.opBuf[:0]
-	h.opBufCnt = 0
-	return h.finishTx(len(wire))
-}
-
-// finishTx is the common post-commit bookkeeping of txWrite and
-// flushPipelined: advance the tail, mark the overlay units, wake the
-// replayer, and run the amortized maintenance work.
+// finishTx is the post-commit bookkeeping of a durable rnvm_tx_write:
+// advance the tail, mark the overlay units, wake the replayer, and run
+// the amortized maintenance work.
 func (h *Handle) finishTx(wireLen int) error {
 	h.memTail += uint64(wireLen)
 	h.c.fe.st.TxCommits.Add(1)
@@ -755,16 +891,16 @@ func (h *Handle) finishTx(wireLen int) error {
 	return nil
 }
 
-// areaWriteOps splits a logical append across the circular boundary into
-// at most two physically contiguous writes, posted with one doorbell.
-func (h *Handle) areaWriteOps(area logrec.Area, abs uint64, wire []byte) []rdma.WriteOp {
-	var ops []rdma.WriteOp
+// appendAreaOps appends to dst the (at most two) physically contiguous
+// writes a logical append of wire at abs splits into across the circular
+// boundary.
+func appendAreaOps(dst []rdma.WriteOp, area logrec.Area, abs uint64, wire []byte) []rdma.WriteOp {
 	pos := 0
 	for _, r := range area.Split(abs, len(wire)) {
-		ops = append(ops, rdma.WriteOp{Off: r.DevOff, Data: wire[pos : pos+r.Len]})
+		dst = append(dst, rdma.WriteOp{Off: r.DevOff, Data: wire[pos : pos+r.Len]})
 		pos += r.Len
 	}
-	return ops
+	return dst
 }
 
 // auxField reads one 8-byte aux-block word remotely.
@@ -841,7 +977,7 @@ func (h *Handle) waitOpSpace() error {
 		}
 		if !h.inFlush && !h.hold2pc && len(h.pending) > 0 {
 			h.inFlush = true
-			err := h.txWrite()
+			_, err := h.commit(nil, false)
 			h.inFlush = false
 			if err != nil {
 				return err
@@ -1003,7 +1139,7 @@ func (h *Handle) Abort() {
 	// the completion queue drains (best effort — the back-end is being
 	// failed over anyway, and the records sit below the rewound tail or
 	// will be re-covered after recovery).
-	_ = h.settleAsyncOps()
+	_ = h.settleAsyncOps(true)
 	h.abortOverlay()
 	h.pending = nil
 	h.pendingAddrs = nil
@@ -1015,6 +1151,7 @@ func (h *Handle) Abort() {
 	h.opBuf = h.opBuf[:0]
 	h.opBufCnt = 0
 	h.opsInTx = 0
+	h.grouped = false
 	if h.coveredOp > h.opTail {
 		h.coveredOp = h.opTail
 	}

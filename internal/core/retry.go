@@ -272,43 +272,6 @@ func (c *Conn) epReadV(ops []rdma.ReadOp) error {
 	})
 }
 
-// epWriteGroups issues several vector writes with one doorbell: each
-// group is posted as its own work request, the doorbell is rung once,
-// and all completions are waited out. This is how a pipelined
-// rnvm_tx_write overlaps the op-log flush with the commit record — one
-// round trip covers both. Falls back to sequential WriteV calls when the
-// pipeline is off. The call is the retry/failover unit: on a transient
-// fault every group is re-posted (idempotent, like WriteV).
-func (c *Conn) epWriteGroups(groups ...[]rdma.WriteOp) error {
-	if !c.pipelined() {
-		for _, g := range groups {
-			if err := c.epWriteV(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return c.do(func() error {
-		var toks []rdma.Token
-		for _, g := range groups {
-			if len(g) > 0 {
-				toks = append(toks, c.ep.PostWriteV(g))
-			}
-		}
-		if len(toks) == 0 {
-			return nil
-		}
-		c.ep.Doorbell()
-		var first error
-		for _, tok := range toks {
-			if err := c.ep.Wait(tok); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	})
-}
-
 func (c *Conn) epCAS(off uint64, old, new uint64) (prev uint64, swapped bool, err error) {
 	err = c.do(func() error {
 		var ierr error

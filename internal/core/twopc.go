@@ -25,7 +25,6 @@ import (
 	"asymnvm/internal/backend"
 	"asymnvm/internal/logrec"
 	"asymnvm/internal/rdma"
-	"asymnvm/internal/trace"
 )
 
 // TxCoordType tags the coordinator's naming-table entry; the structure
@@ -140,7 +139,8 @@ func (tc *TxCoordinator) commitRecord(txid uint64) error {
 	if err := h.waitMemSpace(len(wire)); err != nil {
 		return err
 	}
-	if err := h.c.epWriteV(h.areaWriteOps(h.memArea, h.memTail, wire)); err != nil {
+	h.vec = appendAreaOps(h.vec[:0], h.memArea, h.memTail, wire)
+	if err := h.c.epWriteV(h.vec); err != nil {
 		return err
 	}
 	h.memTail += uint64(len(wire))
@@ -317,7 +317,7 @@ func (tx *Tx) Commit() error {
 
 	// Phase one: every participant's op group and prepare record posted
 	// under its own doorbell, all links in flight together.
-	pends := make([]*PendingPrepare, 0, len(active))
+	pends := make([]*PendingFlush, 0, len(active))
 	var prepErr error
 	for _, p := range active {
 		pp, err := p.prepareAsync(tx.txid, tx.tc.h.c.backendID, tx.tc.h.slot)
@@ -405,106 +405,17 @@ func (tx *Tx) abortPrepared(active []*Handle, posted int) {
 	tx.fe.st.TxCrossAborts.Add(1)
 }
 
-// PendingPrepare is one participant's in-flight phase-one doorbell.
-type PendingPrepare struct {
-	h       *Handle
-	toks    []rdma.Token
-	groups  [][]rdma.WriteOp
-	opBuf   []byte
-	wireLen int
-	settled bool
-}
-
-// prepareAsync posts the participant's buffered op group and its
-// PrepareRecord — entries travel inside it, unapplied — as one doorbell
-// (op group first, so the prepare can never become durable over an
-// op-log hole). Mirrors flushPipelined/FlushAsync; the tail advances at
-// Settle.
-func (h *Handle) prepareAsync(txid uint64, coordNode, coordSlot uint16) (*PendingPrepare, error) {
-	if err := h.settleAsyncOps(); err != nil {
-		return nil, err
-	}
-	tr := h.c.fe.tr
-	tr.BeginArg(trace.KindCommit, uint64(len(h.pending)))
-	defer tr.End()
-	// inFlush suppresses waitOpSpace's make-room txWrite: the pending
-	// entries must leave only inside the prepare record.
-	h.inFlush = true
-	err := h.waitOpSpace()
-	h.inFlush = false
+// prepareAsync is phase one on one participant: a commit flush whose
+// record is a PrepareRecord — the buffered entries travel inside it,
+// unapplied, behind the participant's op group under the same doorbell.
+// The tail advances past the record when the flush completes.
+func (h *Handle) prepareAsync(txid uint64, coordNode, coordSlot uint16) (*PendingFlush, error) {
+	pf, err := h.commit(&prepareHdr{txid: txid, coordNode: coordNode, coordSlot: coordSlot}, true)
 	if err != nil {
 		return nil, err
 	}
-	rec := logrec.PrepareRecord{
-		DSSlot:    h.slot,
-		Abs:       h.memTail,
-		TxID:      txid,
-		CoordNode: coordNode,
-		CoordSlot: coordSlot,
-		CoverOp:   h.coveredOp,
-		Entries:   h.pending,
-	}
-	wire := rec.AppendTo(h.txBuf[:0])
-	h.txBuf = wire
-	if err := h.waitMemSpace(len(wire)); err != nil {
-		return nil, err
-	}
-	pp := &PendingPrepare{h: h, wireLen: len(wire)}
-	if h.opBufCnt > 0 {
-		pp.groups = append(pp.groups, h.areaWriteOps(h.opArea, h.opBufAbs, h.opBuf))
-	}
-	pp.groups = append(pp.groups, h.areaWriteOps(h.memArea, h.memTail, wire))
-	if h.c.pipelined() {
-		for _, g := range pp.groups {
-			pp.toks = append(pp.toks, h.c.ep.PostWriteV(g))
-		}
-		h.c.ep.Doorbell()
-		if h.opBufCnt > 0 {
-			// The buffer belongs to the in-flight WR until Settle.
-			pp.opBuf = h.opBuf
-			h.opBuf = h.takeBuf()
-			h.opBufCnt = 0
-		}
-	} else {
-		if err := h.c.epWriteGroups(pp.groups...); err != nil {
-			return nil, err
-		}
-		h.opBuf = h.opBuf[:0]
-		h.opBufCnt = 0
-	}
-	h.c.kick()
 	h.c.fe.st.TxPrepares.Add(1)
-	return pp, nil
-}
-
-// Settle waits the prepare's WRs out (re-driving faulted ones
-// synchronously — same bytes, same offsets, idempotent) and advances
-// the participant's tail past the record.
-func (pp *PendingPrepare) Settle() error {
-	if pp == nil || pp.settled {
-		return nil
-	}
-	pp.settled = true
-	h := pp.h
-	failed := false
-	for _, tok := range pp.toks {
-		if h.c.ep.Wait(tok) != nil {
-			failed = true
-		}
-	}
-	if failed {
-		h.c.fe.st.VerbRetries.Add(1)
-		if err := h.c.epWriteGroups(pp.groups...); err != nil {
-			return err
-		}
-	}
-	if pp.opBuf != nil {
-		h.bufFree = append(h.bufFree, pp.opBuf[:0])
-		pp.opBuf = nil
-	}
-	h.memTail += uint64(pp.wireLen)
-	h.c.kick()
-	return nil
+	return &pf, nil
 }
 
 // pendingCtl is one posted-but-unsettled control (decision) record.
@@ -525,7 +436,9 @@ func (h *Handle) postCtl(kind byte, txid, coverOp uint64) (*pendingCtl, error) {
 	if err := h.waitMemSpace(len(wire)); err != nil {
 		return nil, err
 	}
-	group := h.areaWriteOps(h.memArea, h.memTail, wire)
+	// The group outlives this call (kept for settle's re-issue), so it
+	// cannot live in the handle's shared scratch.
+	group := appendAreaOps(nil, h.memArea, h.memTail, wire)
 	pc := &pendingCtl{h: h, group: group, n: len(wire)}
 	if h.c.pipelined() {
 		pc.tok = h.c.ep.PostWriteV(group)
@@ -567,7 +480,8 @@ func (h *Handle) appendCtl(kind byte, txid, coverOp uint64) error {
 	if err := h.waitMemSpace(len(wire)); err != nil {
 		return err
 	}
-	if err := h.c.epWriteV(h.areaWriteOps(h.memArea, h.memTail, wire)); err != nil {
+	h.vec = appendAreaOps(h.vec[:0], h.memArea, h.memTail, wire)
+	if err := h.c.epWriteV(h.vec); err != nil {
 		return err
 	}
 	h.memTail += uint64(len(wire))

@@ -41,9 +41,10 @@ func TestHotPathAllocsUntraced(t *testing.T) {
 	})
 	t.Logf("untraced hot path: put=%.1f get=%.1f allocs/op", putAllocs, getAllocs)
 
-	// Ceilings are the measured steady-state counts at the time the trace
-	// plane was introduced. They bound regressions; they are not targets.
-	const putCeiling, getCeiling = 15, 4
+	// Ceilings bound regressions; they are not targets: one above the
+	// measured steady-state counts (put 8: the commit flush builds its
+	// vector in the handle's reused scratch and allocates nothing).
+	const putCeiling, getCeiling = 9, 4
 	if putAllocs > putCeiling {
 		t.Errorf("Put allocates %.1f/op untraced, ceiling %d", putAllocs, putCeiling)
 	}

@@ -18,17 +18,26 @@ import (
 )
 
 // The crash-point matrix: for every data structure, enumerate the
-// persistence steps (write-class verbs: RDMA writes, 8-byte stores,
-// atomics) of one probe operation, then crash the back-end at each step
-// in turn — power failure included, with the probe's k-th write verb torn
-// mid-transfer — recover, and assert the structure-specific invariants:
+// persistence steps of one probe operation — every fault-hook consult of
+// a write-class verb: 8-byte stores, atomics, and each SEGMENT of an RDMA
+// write — then crash the back-end at each step in turn — power failure
+// included, with the dying segment torn mid-transfer — recover, and
+// assert the structure-specific invariants:
 //
 //   - everything drained before the probe survives byte-for-byte;
 //   - the probe operation is all-or-nothing (present with the exact
 //     value, or absent — never mangled);
 //   - ordering invariants hold (LIFO pops, FIFO dequeues, sorted scans).
 //
-// The verb enumeration leans on the fault hook seeing the identical
+// A commit flush is one write verb whose op-log segments are sealed ahead
+// of its commit-record segments, so dying at a later segment of a write
+// is the §7.2 Case 2.c window: the op record is durable, the memory logs
+// are not. Those points are exercised torn AND lost (no byte of the
+// commit segment arrives), and there the invariant tightens: recovery —
+// BreakLock, reopen, ReplayPending — must re-execute the sealed
+// operation, so the probe is present, not merely unmangled.
+//
+// The enumeration leans on the fault hook seeing the identical
 // deterministic verb sequence (zero-cost profile, batch 1, no pipeline)
 // that a fresh identically-seeded instance produces.
 
@@ -36,7 +45,18 @@ import (
 type crashCase struct {
 	name  string
 	build func(t *testing.T, c *core.Conn) func() error // create+seed+drain; returns the probe op
-	check func(t *testing.T, c *core.Conn)               // reopen as writer, drain, verify invariants
+	// check reopens as writer, drains and verifies the invariants. sealed
+	// is how many of the probe's operations (in order) had their op record
+	// sealed before the crash and must therefore have been re-executed.
+	check func(t *testing.T, c *core.Conn, sealed int)
+}
+
+// crashPoint is one cell of a row: kill the probe's k-th write-class
+// consult.
+type crashPoint struct {
+	k      int
+	lost   bool // the dying write leaves no bytes behind (else: torn at half)
+	sealed int  // probe operations whose op record this write sealed first
 }
 
 // writeClass reports whether a verb persists state on the back-end.
@@ -71,54 +91,71 @@ func newCrashCell(t *testing.T, tr *trace.Tracer) (*nvm.Device, *backend.Backend
 	return dev, bk, conn
 }
 
-// countProbeVerbs runs the probe on a throwaway traced instance and
-// counts its write-class verbs — the number of crash points to exercise.
-// The fault-hook count is cross-checked against the trace's span ledger:
-// both enumerate the same persistence steps.
-func countProbeVerbs(t *testing.T, tc crashCase) int {
+// probeCrashPoints runs the probe on a throwaway traced instance and
+// returns its crash points: every write-class consult torn, plus every
+// consult of a later segment of a write lost as well. A consult belongs
+// to the verb whose counter increment preceded it, which is how segments
+// are told from verbs. The trace's span ledger is cross-checked against
+// the verb counters: both enumerate the same round trips, however many
+// segments (consults) each carries. No log of these cells ever wraps, so
+// a write's first segment is its whole op group.
+func probeCrashPoints(t *testing.T, tc crashCase) []crashPoint {
 	t.Helper()
 	tr := trace.New()
 	_, bk, conn := newCrashCell(t, tr)
 	defer bk.Stop()
 	probe := tc.build(t, conn)
 	atr := conn.Frontend().Tracer()
+	st := conn.Frontend().Stats()
 	preSpans := len(atr.Spans())
-	// n counts only write-class verbs (the crash points); spanEquiv also
-	// counts read-only atomics (Load64), which trace as KindVerbAtomic
-	// spans just like the write-class ones do.
-	n, spanEquiv := 0, 0
+	verbs := func() int64 { return st.RDMAWrite.Load() + st.RDMAAtomic.Load() }
+	preVerbs := verbs()
+	var points []crashPoint
+	k, sealed, lastVerb := 0, 0, preVerbs
 	conn.Endpoint().SetFault(func(op rdma.Op, off uint64, sz int) rdma.Fault {
-		if writeClass(op) {
-			n++
+		v := verbs()
+		first := v != lastVerb
+		lastVerb = v
+		if !writeClass(op) {
+			return rdma.Fault{}
 		}
-		switch op {
-		case rdma.OpWrite, rdma.OpStore64, rdma.OpCAS, rdma.OpFetchAdd, rdma.OpLoad64:
-			spanEquiv++
+		k++
+		if first {
+			points = append(points, crashPoint{k: k, sealed: sealed})
+			return rdma.Fault{}
 		}
+		sealed++
+		points = append(points,
+			crashPoint{k: k, sealed: sealed},
+			crashPoint{k: k, sealed: sealed, lost: true})
 		return rdma.Fault{}
 	})
 	if err := probe(); err != nil {
 		t.Fatalf("counting pass probe failed: %v", err)
 	}
 	conn.Endpoint().SetFault(nil)
-	var spanWrites int
+	var spanVerbs int64
 	for _, sp := range atr.Spans()[preSpans:] {
 		switch sp.Kind {
 		case trace.KindVerbWrite, trace.KindVerbAtomic:
-			spanWrites++
+			spanVerbs++
 		}
 	}
-	if spanWrites != spanEquiv {
-		t.Fatalf("trace recorded %d write/atomic verb spans during the probe, fault hook saw %d matching verbs", spanWrites, spanEquiv)
+	if got := verbs() - preVerbs; spanVerbs != got {
+		t.Fatalf("trace recorded %d write/atomic verb spans during the probe, the counters %d verbs", spanVerbs, got)
 	}
-	return n
+	if sealed == 0 {
+		t.Fatal("probe issued no multi-segment write: the op-sealed/commit-lost window is not exercised")
+	}
+	return points
 }
 
 // runCrashPoint rebuilds the cell, kills the connection at the probe's
-// k-th write-class verb (torn mid-transfer for bulk writes), power-fails
-// the device, recovers, and verifies.
-func runCrashPoint(t *testing.T, tc crashCase, k int) {
+// k-th write-class consult (torn mid-transfer for bulk writes, unless the
+// point says lost), power-fails the device, recovers, and verifies.
+func runCrashPoint(t *testing.T, tc crashCase, cp crashPoint) {
 	t.Helper()
+	k := cp.k
 	dev, bk, conn := newCrashCell(t, nil)
 	stopped := false
 	defer func() {
@@ -145,15 +182,15 @@ func runCrashPoint(t *testing.T, tc crashCase, k int) {
 		}
 		dead = true
 		f := rdma.Fault{Err: rdma.ErrDisconnected}
-		if op == rdma.OpWrite {
+		if op == rdma.OpWrite && !cp.lost {
 			f.Truncate = sz / 2 // the dying write reaches the device torn
 		}
 		return f
 	})
 	if err := probe(); err == nil {
-		t.Fatalf("crash point %d: probe succeeded despite fatal fault", k)
+		t.Fatalf("crash point %+v: probe succeeded despite fatal fault", cp)
 	} else if !errors.Is(err, rdma.ErrDisconnected) {
-		t.Fatalf("crash point %d: probe failed with %v, want ErrDisconnected", k, err)
+		t.Fatalf("crash point %+v: probe failed with %v, want ErrDisconnected", cp, err)
 	}
 
 	// The node dies with the connection: stop it and lose volatile bytes.
@@ -163,23 +200,23 @@ func runCrashPoint(t *testing.T, tc crashCase, k int) {
 
 	bk2, err := backend.New(dev, backend.Options{ID: 0, Profile: &zprof})
 	if err != nil {
-		t.Fatalf("crash point %d: recovery: %v", k, err)
+		t.Fatalf("crash point %+v: recovery: %v", cp, err)
 	}
 	bk2.Start()
 	defer bk2.Stop()
 	fe2 := core.NewFrontend(core.FrontendOptions{ID: 2, Mode: core.ModeR(), Profile: &zprof})
 	conn2, err := fe2.Connect(bk2)
 	if err != nil {
-		t.Fatalf("crash point %d: reconnect: %v", k, err)
+		t.Fatalf("crash point %+v: reconnect: %v", cp, err)
 	}
 	raw, err := conn2.Open(tc.name, true)
 	if err != nil {
-		t.Fatalf("crash point %d: raw open: %v", k, err)
+		t.Fatalf("crash point %+v: raw open: %v", cp, err)
 	}
 	if err := raw.BreakLock(1); err != nil {
-		t.Fatalf("crash point %d: break lock: %v", k, err)
+		t.Fatalf("crash point %+v: break lock: %v", cp, err)
 	}
-	tc.check(t, conn2)
+	tc.check(t, conn2, cp.sealed)
 }
 
 func TestCrashPointMatrix(t *testing.T) {
@@ -198,14 +235,11 @@ func TestCrashPointMatrix(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			n := countProbeVerbs(t, tc)
-			if n == 0 {
-				t.Fatal("probe issued no write-class verbs; nothing to crash")
+			points := probeCrashPoints(t, tc)
+			for _, cp := range points {
+				runCrashPoint(t, tc, cp)
 			}
-			for k := 1; k <= n; k++ {
-				runCrashPoint(t, tc, k)
-			}
-			t.Logf("%s: %d crash points survived", tc.name, n)
+			t.Logf("%s: %d crash points survived", tc.name, len(points))
 		})
 	}
 }
@@ -265,7 +299,7 @@ func recoverCompactCell(t *testing.T, dev *nvm.Device, bk *backend.Backend, tc c
 	if err := raw.BreakLock(1); err != nil {
 		t.Fatalf("break lock: %v", err)
 	}
-	tc.check(t, conn2)
+	tc.check(t, conn2, 0)
 }
 
 // TestTruncationCrashMidApply power-fails every structure while its probe
@@ -391,7 +425,7 @@ func stackCrashCase() crashCase {
 			}
 			return func() error { return s.Push(probeVal) }
 		},
-		check: func(t *testing.T, c *core.Conn) {
+		check: func(t *testing.T, c *core.Conn, sealed int) {
 			s, err := OpenStack(c, "Stack", crashOpts())
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
@@ -408,7 +442,7 @@ func stackCrashCase() crashCase {
 			expect := crashSeedItems
 			if bytes.Equal(top, probeVal) {
 				// probe survived whole — continue with the seeds
-			} else if bytes.Equal(top, crashVal(crashSeedItems)) {
+			} else if bytes.Equal(top, crashVal(crashSeedItems)) && sealed == 0 {
 				expect = crashSeedItems - 1
 			} else {
 				t.Fatalf("top of stack is %q, want probe or seed-%03d", top, crashSeedItems)
@@ -444,7 +478,7 @@ func queueCrashCase() crashCase {
 			}
 			return func() error { return q.Enqueue(probeVal) }
 		},
-		check: func(t *testing.T, c *core.Conn) {
+		check: func(t *testing.T, c *core.Conn, sealed int) {
 			q, err := OpenQueue(c, "Queue", crashOpts())
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
@@ -464,6 +498,8 @@ func queueCrashCase() crashCase {
 				t.Fatalf("tail dequeue: %v", err)
 			} else if ok && !bytes.Equal(v, probeVal) {
 				t.Fatalf("tail item is %q, want the probe value or nothing", v)
+			} else if !ok && sealed > 0 {
+				t.Fatal("sealed enqueue was not re-executed")
 			}
 			if _, ok, _ := q.Dequeue(); ok {
 				t.Fatal("queue not empty after the probe slot")
@@ -559,7 +595,7 @@ func partitionedCrashCase() crashCase {
 			}
 			return func() error { return p.PutMulti(probeKeys, probeVals) }
 		},
-		check: func(t *testing.T, c *core.Conn) {
+		check: func(t *testing.T, c *core.Conn, sealed int) {
 			// The dead writer held each partition's lock; the meta entry
 			// never takes one (BreakLock on it was a no-op).
 			for i := 0; i < parts; i++ {
@@ -602,6 +638,9 @@ func partitionedCrashCase() crashCase {
 				}
 				if !found[i] {
 					inPrefix = false
+				}
+				if !found[i] && i < sealed {
+					t.Fatalf("sealed put of probe key %d was not re-executed", k)
 				}
 			}
 			// Routing-table consistency: each surviving probe key must be
@@ -668,7 +707,7 @@ func stripedCrashCase() crashCase {
 			}
 			return func() error { return s.PutMulti(probeKeys, probeVals) }
 		},
-		check: func(t *testing.T, c *core.Conn) {
+		check: func(t *testing.T, c *core.Conn, sealed int) {
 			// The dead writer held each involved stripe's shared lock; the
 			// per-stripe lock-ahead logs name it, so each word is broken
 			// independently.
@@ -710,6 +749,9 @@ func stripedCrashCase() crashCase {
 				if !found[i] {
 					inPrefix = false
 				}
+				if !found[i] && i < sealed {
+					t.Fatalf("sealed put of probe key %d was not re-executed", k)
+				}
 				// Stripe-routing consistency: a surviving key must be in
 				// exactly the stripe the hash names.
 				if found[i] {
@@ -742,7 +784,7 @@ func kvCrashCase(kind string) crashCase {
 			}
 			return func() error { return kv.Put(kvProbeKey, probeVal) }
 		},
-		check: func(t *testing.T, c *core.Conn) {
+		check: func(t *testing.T, c *core.Conn, sealed int) {
 			kv, err := reopenKVCrash(c, kind)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
@@ -762,6 +804,9 @@ func kvCrashCase(kind string) crashCase {
 			}
 			if ok && !bytes.Equal(got, probeVal) {
 				t.Fatalf("probe key mangled: got %q, want %q or absent", got, probeVal)
+			}
+			if !ok && sealed > 0 {
+				t.Fatal("sealed put was not re-executed")
 			}
 			// Ordered structures must also scan sorted and complete.
 			if bt, isBPT := kv.(*BPTree); isBPT {

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"asymnvm/internal/backend"
 	"asymnvm/internal/clock"
 	"asymnvm/internal/core"
+	"asymnvm/internal/fault"
 	"asymnvm/internal/nvm"
+	"asymnvm/internal/rdma"
 )
 
 var zprof = clock.ZeroProfile()
@@ -558,8 +561,9 @@ func TestMVBSTReaderSeesFrozenVersions(t *testing.T) {
 }
 
 func TestPendingOpReexecution(t *testing.T) {
-	// An op log is persisted but the memory logs never flush (front-end
-	// dies with a full batch buffer). Reopening must re-execute it.
+	// An op record is sealed but the memory logs of its commit never
+	// arrive (§7.2 Case 2.c: the front-end dies inside the commit flush,
+	// between the segments). Reopening must re-execute it.
 	r := newRig(t)
 	c := r.conn(1, core.ModeRCB(1<<20, 1000))
 	ht, err := CreateHashTable(c, "pend", Options{Create: testCreate, Buckets: 64})
@@ -571,21 +575,16 @@ func TestPendingOpReexecution(t *testing.T) {
 	if err := ht.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// These ops' op logs are group-buffered too… force them out by
-	// writing enough ops then flushing ONLY the op buffer via a direct
-	// handle flush of ops — simplest honest path: use batch=1 front-end
-	// for op persistence but kill it before EndOp flushes the tx.
 	c2 := r.conn(2, core.ModeR())
 	ht2, err := OpenHashTable(c2, "pend", true, Options{Create: testCreate, Buckets: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage: write op log for key 2 but crash before the tx flush.
-	h := ht2.Handle()
-	if _, err := h.OpLog(OpPut, kvParams(2, val(2))); err != nil {
-		t.Fatal(err)
+	c2.Endpoint().SetFault(fault.LoseCommitRecord(c2.Frontend().Stats()))
+	if err := ht2.Put(2, val(2)); !errors.Is(err, rdma.ErrDisconnected) {
+		t.Fatalf("put through a dying commit flush = %v, want ErrDisconnected", err)
 	}
-	// Front-end 2 "crashes" here: no EndOp, no tx. Its lock is stale.
+	// Front-end 2 is gone: op record durable, no tx. Its lock is stale.
 	c3 := r.conn(3, core.ModeR())
 	h3, err := c3.Open("pend", true)
 	if err != nil {
@@ -608,6 +607,62 @@ func TestPendingOpReexecution(t *testing.T) {
 	if got, ok, _ := ht3.Get(1); !ok || !bytes.Equal(got, val(1)) {
 		t.Fatal("baseline key lost")
 	}
+}
+
+// TestPutMultiAbortsOnError: a PutMulti whose commit flush fails rolls
+// the whole group back — the writer's own view and a fresh reader's both
+// keep the old values — and the handle stays usable.
+func TestPutMultiAbortsOnError(t *testing.T) {
+	r := newRig(t)
+	c := r.conn(1, core.ModeRC(1<<20))
+	ht, err := CreateHashTable(c, "pm", Options{Create: testCreate, Buckets: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []uint64{1, 2, 3, 4}
+	olds := [][]byte{val(1), val(2), val(3), val(4)}
+	news := [][]byte{val(11), val(12), val(13), val(14)}
+	if err := ht.PutMulti(keys, olds); err != nil {
+		t.Fatal(err)
+	}
+	if err := ht.PutMulti(keys, news[:3]); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	// The link drops before any segment of the group's flush lands.
+	c.Endpoint().SetFault(func(op rdma.Op, off uint64, n int) rdma.Fault {
+		if op == rdma.OpWrite {
+			return rdma.Fault{Err: rdma.ErrDisconnected}
+		}
+		return rdma.Fault{}
+	})
+	if err := ht.PutMulti(keys, news); !errors.Is(err, rdma.ErrDisconnected) {
+		t.Fatalf("put multi over a dead link = %v, want ErrDisconnected", err)
+	}
+	c.Endpoint().SetFault(nil)
+	check := func(kv *HashTable, who string, want [][]byte) {
+		t.Helper()
+		for i, k := range keys {
+			if got, ok, err := kv.Get(k); err != nil || !ok || !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s: key %d = %q ok=%v err=%v, want %q", who, k, got, ok, err, want[i])
+			}
+		}
+	}
+	check(ht, "writer after abort", olds)
+	if err := ht.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := OpenHashTable(r.conn(2, core.ModeR()), "pm", false, Options{Create: testCreate, Buckets: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(reader, "reader after abort", olds)
+	if err := ht.PutMulti(keys, news); err != nil {
+		t.Fatal(err)
+	}
+	if err := ht.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	check(reader, "reader after retry", news)
 }
 
 func TestPartitionedAcrossBackends(t *testing.T) {

@@ -139,6 +139,54 @@ func (t *HashTable) Put(key uint64, val []byte) error {
 	return t.w.end()
 }
 
+// PutMulti inserts or updates a batch as one request-scoped group commit:
+// N op records and one commit record leave in a single fabric round trip,
+// and the call's return is the durability point of all of them. The
+// arguments are validated before the first put, and any later error
+// aborts the group — its op records never left the front-end and the
+// overlay rolls back — so a failed PutMulti has no effect (barring a
+// commit flush torn by a crash, which recovery completes or discards as
+// for any unacknowledged write).
+func (t *HashTable) PutMulti(keys []uint64, vals [][]byte) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("ds: hash table put multi: %d keys, %d values", len(keys), len(vals))
+	}
+	for _, v := range vals {
+		if len(v) > t.cap {
+			return ErrValueTooLarge
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	if t.w.lockPerOp {
+		// Pin the lock across the group: a per-put release would flush.
+		if err := core.LockOrdered(t.h); err != nil {
+			return err
+		}
+	}
+	err := t.h.BeginGroup()
+	if err == nil {
+		for i, k := range keys {
+			if err = t.Put(k, vals[i]); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = t.h.EndGroup()
+		}
+		if err != nil {
+			t.h.Abort()
+		}
+	}
+	if t.w.lockPerOp {
+		if uerr := core.UnlockOrdered(t.h); err == nil {
+			err = uerr
+		}
+	}
+	return err
+}
+
 func (t *HashTable) put(key uint64, val []byte, opAbs uint64) error {
 	bAddr := t.bucketAddr(key)
 	headB, err := t.h.Read(bAddr, 8, true)

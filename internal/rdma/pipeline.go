@@ -93,6 +93,12 @@ func (e *Endpoint) SetPipeline(depth int) {
 // completion queue (send queue + rung doorbell groups).
 func (e *Endpoint) Outstanding() int { return e.inflight }
 
+// Rung reports whether tok's work request has left the send queue, i.e.
+// a doorbell covering it has been rung (tokens increase in post order).
+func (e *Endpoint) Rung(tok Token) bool {
+	return len(e.sendQ) == 0 || tok < e.sendQ[0].token
+}
+
 // newWR takes a work-request header off the freelist (retireOldest and
 // retargetFlush put them back) or allocates the pool's next one.
 func (e *Endpoint) newWR() *postedWR {

@@ -15,7 +15,10 @@ import (
 
 // TestWriteVExactCost pins the vector-write cost contract: one round
 // trip per call — RTT + one media write + the bandwidth term of the
-// combined payload — independent of the element count.
+// combined payload — independent of the element count, and independent
+// of whether the vector goes out as a synchronous WriteV or as posted
+// work requests under one doorbell. ds.TestUnbatchedWriteOneRoundTrip
+// holds every structure's acknowledged write to this cost.
 func TestWriteVExactCost(t *testing.T) {
 	prof := clock.DefaultProfile()
 	for _, elems := range []int{1, 3, 16} {
@@ -36,6 +39,30 @@ func TestWriteVExactCost(t *testing.T) {
 		}
 		if n := ep.Stats().RDMAWrite.Load(); n != 1 {
 			t.Fatalf("%d-element WriteV counted %d write verbs, want 1", elems, n)
+		}
+
+		// The posted form of the same vector — split into two work requests
+		// (a commit flush's op group and record) under one doorbell — is
+		// the same single round trip, plus the two posting charges.
+		ep, clk = newEP(1<<20, prof)
+		ep.SetPipeline(8)
+		split := (elems + 1) / 2
+		toks := []Token{ep.PostWriteV(ops[:split])}
+		if split < elems {
+			toks = append(toks, ep.PostWriteV(ops[split:]))
+		}
+		ep.Doorbell()
+		for _, tok := range toks {
+			if err := ep.Wait(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want += time.Duration(len(toks)) * prof.WRIssue
+		if got := clk.Now(); got != want {
+			t.Fatalf("%d elements in %d posted WRs charged %v, want exactly %v (one doorbell)", elems, len(toks), got, want)
+		}
+		if n := ep.Stats().RDMAWrite.Load(); n != 1 {
+			t.Fatalf("%d posted WRs under one doorbell counted %d write verbs, want 1", len(toks), n)
 		}
 	}
 }

@@ -53,12 +53,17 @@ const (
 	RespMagic byte = 0xEA
 )
 
-// Request opcodes.
+// Request opcodes. OpPutMulti is one group commit (ds.HashTable.PutMulti):
+// the pairs are validated before the first put and become durable
+// together in one fabric round trip, so StatusOK acknowledges all of them
+// and any other status means none took effect (a crash tearing the commit
+// flush itself aside — recovery completes or discards that like any
+// unacknowledged write).
 const (
 	OpGet      uint8 = 1 // {key} -> {found, value}
 	OpPut      uint8 = 2 // {key, value} -> {}
 	OpGetMulti uint8 = 3 // {keys...} -> {found/value...}
-	OpPutMulti uint8 = 4 // {keys..., values...} -> {}
+	OpPutMulti uint8 = 4 // {keys..., values...} -> {} (all or nothing)
 	OpTx       uint8 = 5 // {selector} -> {} (smallbank transaction)
 	OpDrain    uint8 = 6 // {} -> {} (admin: flush + wait for replay)
 	OpPing     uint8 = 7 // {} -> {} (liveness, bypasses the run queue)

@@ -761,3 +761,46 @@ func TestClientRetriesMoved(t *testing.T) {
 		t.Fatalf("exhausted retries returned status %d, want StatusMoved", resp.Status)
 	}
 }
+
+// TestPutMultiAllOrNothing: a multi-put the server answers with an error
+// leaves no put behind. The fifth value exceeds the table's inline
+// capacity, which PutMulti rejects before the first put — the first four
+// keys keep their old values, seen through a fresh reader front-end.
+func TestPutMultiAllOrNothing(t *testing.T) {
+	r := newRig(t)
+	s := startServer(t, r, DefaultOptions())
+	c := dial(t, s, 1)
+
+	keys := []uint64{1, 2, 3, 4}
+	for _, k := range keys {
+		if resp, err := c.Put(k, []byte(fmt.Sprintf("old-%d", k)), 0); err != nil || resp.Status != StatusOK {
+			t.Fatalf("seed put %d: %v %+v", k, err, resp)
+		}
+	}
+	vals := [][]byte{[]byte("new-1"), []byte("new-2"), []byte("new-3"), []byte("new-4"), bytes.Repeat([]byte{'x'}, 100)}
+	resp, err := c.Do(Request{Op: OpPutMulti, Keys: append(keys, 5), Vals: vals})
+	if err != nil || resp.Status != StatusError {
+		t.Fatalf("putmulti with an oversized value: %v %+v, want StatusError", err, resp)
+	}
+	if resp, err := c.Drain(); err != nil || resp.Status != StatusOK {
+		t.Fatalf("drain: %v %+v", err, resp)
+	}
+
+	_, conns, err := r.clu.NewFrontend(2, core.ModeR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := ds.OpenHashTable(conns[0], "serve-kv", false, dsOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		want := fmt.Sprintf("old-%d", k)
+		if got, ok, err := reader.Get(k); err != nil || !ok || string(got) != want {
+			t.Fatalf("key %d after the failed putmulti: %q ok=%v err=%v, want %q", k, got, ok, err, want)
+		}
+	}
+	if _, ok, err := reader.Get(5); err != nil || ok {
+		t.Fatalf("key 5 exists after the failed putmulti (ok=%v err=%v)", ok, err)
+	}
+}

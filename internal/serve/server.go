@@ -456,10 +456,8 @@ func (s *Server) execOp(req Request) Response {
 		}
 		return Response{Status: StatusOK, Founds: founds, Vals: vals}
 	case OpPutMulti:
-		for i, k := range req.Keys {
-			if err := s.b.KV.Put(k, req.Vals[i]); err != nil {
-				return errResponse(err)
-			}
+		if err := s.b.KV.PutMulti(req.Keys, req.Vals); err != nil {
+			return errResponse(err)
 		}
 		return Response{Status: StatusOK}
 	case OpTx:
