@@ -1,11 +1,12 @@
 # Developer entry points. `make check` is the pre-merge gate: static
-# checks, the full race-enabled test suite, and the fixed-seed chaos
+# checks, the full race-enabled test suite, the determinism contract
+# (`make determinism`), and the fixed-seed chaos
 # soak (5000 ops under crashes, partitions and truncations; exits
 # non-zero on any invariant violation).
 
 GO ?= go
 
-.PHONY: all build vet test benchmark-test race chaos chaos-race cover check bench bench-cpu bench-smoke bench-compare
+.PHONY: all build vet test benchmark-test race chaos chaos-race determinism cover check bench bench-cpu bench-smoke bench-compare
 
 # Minimum cross-package statement coverage (see `make cover`). Raise it
 # when coverage rises; never lower it to merge.
@@ -66,6 +67,17 @@ chaos-race: build
 	$(GO) run -race ./cmd/asymnvm-chaos -seed 7 -ops 1200 -multiwriter -promotes 0 -determinism
 	$(GO) run -race ./cmd/asymnvm-chaos -seed 9 -ops 1200 -rebalance -promotes 0 -determinism
 
+# The determinism contract, enforced: every chaos test that runs one seed
+# twice and diffs the reports (fault digest, verify lines, final counters —
+# `retries=` included), five times over, with one, two and eight Ps. A
+# report line that follows host scheduling instead of the seed shows up
+# as a diff at some GOMAXPROCS; -count also proves finished soaks are
+# released (five soak pairs per test fit in memory only if they are).
+determinism:
+	GOMAXPROCS=1 $(GO) test ./internal/chaos -run Deterministic -count=5
+	GOMAXPROCS=2 $(GO) test ./internal/chaos -run Deterministic -count=5
+	GOMAXPROCS=8 $(GO) test ./internal/chaos -run Deterministic -count=5
+
 # Cross-package statement coverage with a hard floor. -coverpkg=./... so
 # packages exercised only through other packages' tests (trace, stats,
 # obshttp) still count.
@@ -76,7 +88,7 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% fell below the floor of $(COVER_FLOOR)%"; exit 1; }
 
-check: vet build race benchmark-test chaos
+check: vet build race benchmark-test determinism chaos
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/

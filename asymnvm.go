@@ -59,7 +59,7 @@ type (
 	BPTree      = ds.BPTree
 	MVBST       = ds.MVBST
 	MVBPTree    = ds.MVBPTree
-	Partitioned = ds.Partitioned
+	Partitioned = ds.Sharded
 	TATP        = txapp.TATP
 	SmallBank   = txapp.SmallBank
 	// KV is the common key-value interface of the index structures.
@@ -275,21 +275,23 @@ func (cl *Client) OpenMVBPTree(name string, writer bool, opts DSOptions) (*MVBPT
 	return ds.OpenMVBPTree(cl.conns[0], name, writer, opts)
 }
 
-// CreatePartitioned creates a key-hash partitioned structure spread over
+// CreatePartitioned creates a key-hash partitioned structure — a
+// ds.Sharded with exclusive-writer shards and a static map — spread over
 // every connected back-end.
 func (cl *Client) CreatePartitioned(kind ds.KVKind, name string, parts int, opts DSOptions) (*Partitioned, error) {
 	return ds.CreatePartitioned(cl.conns, kind, name, parts, opts)
 }
 
-// OpenPartitioned reopens a partitioned structure from its mapping entry.
+// OpenPartitioned reopens a sharded structure from its mapping entry
+// (ds.OpenSharded: placement and writer discipline come from the entry).
 func (cl *Client) OpenPartitioned(name string, writer bool, opts DSOptions) (*Partitioned, error) {
-	return ds.OpenPartitioned(cl.conns, name, writer, opts)
+	return ds.OpenSharded(cl.conns, name, writer, opts)
 }
 
-// CreateElastic creates a partitioned structure whose placement lives in
-// a versioned mapping table, so partitions can migrate between back-ends
+// CreateElastic creates a partitioned structure whose mapping table is
+// versioned from birth, so partitions can migrate between back-ends
 // online (cluster.Ring/PlanMoves/Rebalance via Cluster.Internal, or
-// ds.Partitioned.BeginMigration directly). OpenPartitioned reopens it;
+// ds.Sharded.BeginMigration directly). OpenPartitioned reopens it;
 // the persisted map routes every key to its current home.
 func (cl *Client) CreateElastic(kind ds.KVKind, name string, parts int, opts DSOptions) (*Partitioned, error) {
 	return ds.CreateElastic(cl.conns, kind, name, parts, opts)

@@ -106,6 +106,10 @@ type Backend struct {
 	opScratch  logrec.OpRecord
 	cmtScratch logrec.CommitRecord
 	decArena   arena.Arena
+	// opArena is the op-log scan's own arena: the scan can run nested
+	// inside a transaction's replay (forwardMemRecord), whose record
+	// still lives in decArena.
+	opArena arena.Arena
 
 	// resolver consults a coordinator log for in-doubt prepares during
 	// recovery (see twopc.go); nil leaves them held.
@@ -468,11 +472,11 @@ func (b *Backend) serveRPC() {
 		}
 		b.chargeBusy(b.prof.LocalNVMRead(64))
 		req, ok := DecodeRPCRequest(buf)
-		if !ok || req.Seq == 0 || req.Seq <= b.rpcLast[c] {
+		// Any newer sequence number is fresh, not only the successor: a
+		// client that abandoned a call (attempt budget or deadline spent)
+		// skips its number, and one cell per connection cannot reorder.
+		if !ok || req.Seq <= b.rpcLast[c] {
 			continue
-		}
-		if req.Seq != b.rpcLast[c]+1 {
-			continue // out-of-order request; client retries
 		}
 		resp := b.execRPC(req)
 		wire := EncodeRPCResponse(resp)

@@ -250,25 +250,50 @@ func TestCallocZeroesReusedBlocks(t *testing.T) {
 	}
 }
 
-func TestRPCOutOfOrderIgnored(t *testing.T) {
+// TestRPCSkippedSeqServedStaleIgnored pins the request-cell contract: a
+// sequence number newer than the last served one is fresh even across a
+// gap (a client that abandoned a call skips its number — one cell per
+// connection cannot reorder), while a stale or duplicate number is never
+// re-executed.
+func TestRPCSkippedSeqServedStaleIgnored(t *testing.T) {
 	dev := nvm.NewDevice(8 << 20)
 	b, err := New(dev, Options{ID: 0, Profile: &zprof})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Start()
-	defer b.Stop()
-	// Seq 5 without 1..4 first: must not be served.
+	// Seq 5 without 1..4 first: served.
 	req := EncodeRPCRequest(RPCRequest{Seq: 5, Op: RPCMalloc, A1: 64})
-	_ = dev.WritePersist(b.Layout().RPCReqOff(2), req)
-	b.Kick()
-	// Give the service loop a chance, then check no response appeared.
-	for i := 0; i < 1000; i++ {
-		runtime.Gosched()
+	if err := dev.WritePersist(b.Layout().RPCReqOff(2), req); err != nil {
+		t.Fatal(err)
 	}
+	b.Kick()
 	cell := make([]byte, 64)
-	_ = dev.ReadAt(b.Layout().RPCRespOff(2), cell)
-	if _, ok := DecodeRPCResponse(cell); ok {
-		t.Fatal("out-of-order request must not be served")
+	var first RPCResponse
+	for ok := false; !ok || first.Seq != 5; runtime.Gosched() {
+		if err := dev.ReadAt(b.Layout().RPCRespOff(2), cell); err != nil {
+			t.Fatal(err)
+		}
+		first, ok = DecodeRPCResponse(cell)
+	}
+	if first.Status != RPCOK {
+		t.Fatalf("skipped-ahead request: got %+v", first)
+	}
+	free := b.FreeBlocksCount()
+	// Seq 3 is stale: it must not execute, and the cell keeps seq 5's
+	// response. Stop's final service pass proves the loop saw it.
+	req = EncodeRPCRequest(RPCRequest{Seq: 3, Op: RPCMalloc, A1: 64})
+	if err := dev.WritePersist(b.Layout().RPCReqOff(2), req); err != nil {
+		t.Fatal(err)
+	}
+	b.Stop()
+	if err := dev.ReadAt(b.Layout().RPCRespOff(2), cell); err != nil {
+		t.Fatal(err)
+	}
+	if resp, ok := DecodeRPCResponse(cell); !ok || resp != first {
+		t.Fatalf("stale request disturbed the response cell: %+v (ok=%v), want %+v", resp, ok, first)
+	}
+	if got := b.FreeBlocksCount(); got != free {
+		t.Fatalf("stale request executed: free blocks %d -> %d", free, got)
 	}
 }

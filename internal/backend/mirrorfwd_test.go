@@ -119,6 +119,52 @@ func TestArchiveForwardingOfOpRecords(t *testing.T) {
 	}
 }
 
+// TestCoveredOpsArchivedBeforeOPNPasses pins the archive/cursor order. A
+// front-end's commit (op record, then the transaction covering it, one
+// doorbell) can land after a service pass has scanned the op log but
+// before it scans the memory log. The replayer must still hand the op
+// record to the archive before the OPN moves past it: the next
+// incarnation resumes the archive scan AT the OPN, so an op skipped here
+// would be missing from the archive for good.
+func TestCoveredOpsArchivedBeforeOPNPasses(t *testing.T) {
+	dev := nvm.NewDevice(8 << 20)
+	b, err := New(dev, Options{ID: 0, Profile: &zprof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &fakeSink{raw: false}
+	b.AddMirror(sink)
+	_, memBase, opBase := handBuild(t, dev, b.Layout(), 0)
+	target := b.Layout().DataBase + 4096 + 2*65536
+	// One service pass over empty logs: the slot is discovered and this
+	// pass's op-log scan is over.
+	b.replayAll()
+	op := logrec.OpRecord{DSSlot: 0, OpType: 3, Abs: 0, Params: []byte{7}}
+	opWire := op.Encode()
+	if err := dev.WritePersist(opBase, opWire); err != nil {
+		t.Fatal(err)
+	}
+	tx := logrec.TxRecord{DSSlot: 0, Abs: 0, CoverOp: uint64(len(opWire)), Entries: []logrec.MemEntry{
+		{Flag: logrec.FlagInline, Addr: GlobalAddr(0, target), Len: 4, Value: []byte("DATA")},
+	}}
+	if err := dev.WritePersist(memBase, tx.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	// The same pass's memory-log scan finds the transaction.
+	b.mu.Lock()
+	ds := b.dss[0]
+	b.mu.Unlock()
+	if _, err := b.replaySlot(ds); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.opn.Load(); got != tx.CoverOp {
+		t.Fatalf("OPN = %d after replay, want %d", got, tx.CoverOp)
+	}
+	if len(sink.ops) != 1 || sink.ops[0].Params[0] != 7 {
+		t.Fatalf("OPN passed an op record the archive never saw: archived %+v", sink.ops)
+	}
+}
+
 func TestRawForwardingOfTxRecords(t *testing.T) {
 	dev := nvm.NewDevice(8 << 20)
 	b, err := New(dev, Options{ID: 0, Profile: &zprof})

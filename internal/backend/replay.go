@@ -328,7 +328,7 @@ func (b *Backend) applyTx(ds *dsReplay, rec *logrec.TxRecord, newLPN uint64) err
 	// mirror before the transaction commits to the data area). Only the
 	// record's extent matters here — the bytes forwarded are read back
 	// from the device — so EncodedLen avoids a full re-encode per replay.
-	if err := b.forwardExtent(ds.memArea, rec.Abs, rec.EncodedLen()); err != nil {
+	if err := b.forwardMemRecord(ds, rec.Abs, rec.EncodedLen(), rec.CoverOp); err != nil {
 		return err
 	}
 	if err := b.applyEntries(ds, rec.Entries); err != nil {
@@ -344,10 +344,22 @@ func (b *Backend) applyTx(ds *dsReplay, rec *logrec.TxRecord, newLPN uint64) err
 	return nil
 }
 
-// forwardExtent replicates one log record's raw extent (read back from
-// the device, split around the circular wrap) to replica mirrors.
-func (b *Backend) forwardExtent(area logrec.Area, abs uint64, n int) error {
-	for _, r := range area.Split(abs, n) {
+// forwardMemRecord replicates one memory-log record's raw extent (read
+// back from the device, split around the circular wrap) to replica
+// mirrors — after the op records it covers. Those are durable (they seal
+// ahead of the record under the same doorbell) but may have landed after
+// this pass's archive scan. A replica must hold them before it applies
+// the record (FlagOpRef entries read the op area), and the OPN must not
+// pass an unarchived op: a later incarnation resumes the archive scan AT
+// the OPN, so which ops a crash left out of the archive would otherwise be
+// the host scheduler's choice. Restart recovery is exempt: no sink is
+// attached yet, and the scan cursor must stay where the sinks will pick
+// it up.
+func (b *Backend) forwardMemRecord(ds *dsReplay, abs uint64, n int, coverOp uint64) error {
+	if coverOp > ds.opSeen && !b.inRecovery {
+		b.archiveOps(ds)
+	}
+	for _, r := range ds.memArea.Split(abs, n) {
 		chunk := make([]byte, r.Len)
 		if err := b.dev.ReadAt(r.DevOff, chunk); err != nil {
 			return err
@@ -495,8 +507,8 @@ func (b *Backend) archiveOps(ds *dsReplay) {
 			// decode into the reused scratch (params land in the arena and
 			// die at the Reset below) and forward the raw wire bytes.
 			rec := &b.opScratch
-			used, derr := logrec.DecodeOpInto(rec, buf[pos:], ds.opSeen, &b.decArena)
-			b.decArena.Reset()
+			used, derr := logrec.DecodeOpInto(rec, buf[pos:], ds.opSeen, &b.opArena)
+			b.opArena.Reset()
 			if derr != nil {
 				if errors.Is(derr, logrec.ErrShort) && !progressed && chunk < maxTxChunk && uint64(chunk) < ds.opArea.Size {
 					chunk *= 2

@@ -98,7 +98,7 @@ func (b *Backend) replayPrepare(ds *dsReplay, src []byte, abs uint64) (int, erro
 	}
 	hp.abs = abs
 	hp.end = abs + uint64(used)
-	if err := b.forwardExtent(ds.memArea, abs, used); err != nil {
+	if err := b.forwardMemRecord(ds, abs, used, hp.rec.CoverOp); err != nil {
 		return 0, fmt.Errorf("%w: %w", errApply, err)
 	}
 	ds.twopcMu.Lock()
@@ -130,7 +130,7 @@ func (b *Backend) replayDecision(ds *dsReplay, src []byte, abs uint64) (int, err
 	if err != nil {
 		return 0, err
 	}
-	if err := b.forwardExtent(ds.memArea, abs, used); err != nil {
+	if err := b.forwardMemRecord(ds, abs, used, rec.CoverOp); err != nil {
 		return 0, fmt.Errorf("%w: %w", errApply, err)
 	}
 	end := abs + uint64(used)

@@ -72,11 +72,11 @@ func mwCreateOpts() core.CreateOptions {
 // touches its own stripes (stripe i belongs to writer i mod W): the
 // scaling cell measures the mechanism's fixed costs, not artificial
 // key collisions.
-func stripedWriterKeys(s *ds.Striped, writers, perWriter int) [][]uint64 {
+func stripedWriterKeys(s *ds.Sharded, writers, perWriter int) [][]uint64 {
 	pools := make([][]uint64, writers)
 	filled := 0
 	for k := uint64(1); filled < writers; k++ {
-		w := s.StripeIndex(k) % writers
+		w := s.ShardOf(k) % writers
 		if len(pools[w]) < perWriter {
 			pools[w] = append(pools[w], k)
 			if len(pools[w]) == perWriter {
@@ -99,7 +99,7 @@ func measureStripedCell(writers, readers int, sc Scale) (Row, error) {
 	defer cl.Stop()
 	opts := ds.Options{Create: mwCreateOpts(), Buckets: 1 << 10}
 	wfes := make([]*core.Frontend, writers)
-	wkvs := make([]*ds.Striped, writers)
+	wkvs := make([]*ds.Sharded, writers)
 	fe0, conns, err := cl.NewFrontend(1, core.ModeR())
 	if err != nil {
 		return Row{}, err
@@ -119,7 +119,7 @@ func measureStripedCell(writers, readers int, sc Scale) (Row, error) {
 		if err != nil {
 			return Row{}, err
 		}
-		kv, err := ds.OpenStriped(cs[0], "mw", true, opts)
+		kv, err := ds.OpenSharded(cs[:1], "mw", true, opts)
 		if err != nil {
 			return Row{}, err
 		}
@@ -145,7 +145,7 @@ func measureStripedCell(writers, readers int, sc Scale) (Row, error) {
 				rres[i].err = err
 				return
 			}
-			kv, err := ds.OpenStriped(cs[0], "mw", false, opts)
+			kv, err := ds.OpenSharded(cs[:1], "mw", false, opts)
 			if err != nil {
 				rres[i].err = err
 				return

@@ -116,7 +116,7 @@ func RebalanceSweep(sc Scale) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rp, err := ds.OpenPartitioned(rconns, "rebal", false, w.opts)
+	rp, err := ds.OpenSharded(rconns, "rebal", false, w.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ type rebalWorld struct {
 	cl     *cluster.Cluster
 	fe     *core.Frontend
 	conns  []*core.Conn
-	p      *ds.Partitioned
+	p      *ds.Sharded
 	ring   *cluster.Ring
 	opts   ds.Options
 	counts map[uint64]uint64

@@ -13,7 +13,7 @@ import (
 // scaling claim: one hash table split into 1/2/4/8 partitions placed
 // round-robin on 1/2/4/8 back-ends (back-ends ≤ partitions — a partition
 // cannot span devices), driven through the batched cross-partition path:
-// gets gathered into 64-key Partitioned.GetMulti batches, 10% puts routed
+// gets gathered into 64-key Sharded.GetMulti batches, 10% puts routed
 // through PutMulti, under the three mode ladders at pipeline depth 16.
 // Adding back-ends with a fixed workload should scale throughput
 // near-linearly, because each lockstep round posts one doorbell group per

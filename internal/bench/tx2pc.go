@@ -39,7 +39,7 @@ func Tx2PCSweep(sc Scale) ([]Row, error) {
 // 0 (plain and single) or one in partition 0 and one in partition 1
 // (cross — with partitions striped round-robin over two back-ends,
 // partition 1 lives on the second node).
-func tx2pcKeys(p *ds.Partitioned, series string) [2]uint64 {
+func tx2pcKeys(p *ds.Sharded, series string) [2]uint64 {
 	var keys [2]uint64
 	want := [2]int{0, 0}
 	if series == "cross" {
@@ -47,7 +47,7 @@ func tx2pcKeys(p *ds.Partitioned, series string) [2]uint64 {
 	}
 	k := uint64(1)
 	for i := 0; i < 2; k++ {
-		if p.PartIndex(k) == want[i] && (i == 0 || k != keys[0]) {
+		if p.ShardOf(k) == want[i] && (i == 0 || k != keys[0]) {
 			keys[i] = k
 			i++
 		}

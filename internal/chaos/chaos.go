@@ -89,9 +89,9 @@ type Config struct {
 	// stream cannot reconstruct transactions that span two nodes.
 	TxCross bool
 
-	// MultiWriter replaces the plain hash table with a striped one
-	// (ds.Striped) written by TWO front-ends that the soak goroutine
-	// alternates deterministically, so the per-stripe shared-lock
+	// MultiWriter replaces the plain hash table with a striped one (a
+	// shared-writer ds.Sharded) written by TWO front-ends that the soak
+	// goroutine alternates deterministically, so the per-stripe shared-lock
 	// handoff (release → acquire → tail resync) runs under verb faults,
 	// partitions and restarts. After every recovery the committed keys
 	// are additionally read back through a mirror replica front-end,
@@ -180,7 +180,7 @@ type soak struct {
 	// MultiWriter mode: mw replaces kv with two writer attachments to
 	// one striped table; the soak alternates them per put (mwTurn).
 	// inj2 is the second writer's injector (cut on restarts, like inj).
-	mw     [2]*ds.Striped
+	mw     [2]*ds.Sharded
 	mwFes  [2]*core.Frontend
 	mwTurn int
 	inj2   *fault.Injector
@@ -190,7 +190,7 @@ type soak struct {
 	// its double-log window, rebMoves counts completed cutovers and
 	// rebRng draws the partition choices (its own stream, so the workload
 	// rng sequence is identical with rebalancing on or off).
-	reb      *ds.Partitioned
+	reb      *ds.Sharded
 	rebConns []*core.Conn
 	rebMig   *ds.Migration
 	rebMoves int
@@ -216,7 +216,7 @@ const rebEvery = 48
 // every soak migration ships a live log suffix, not just a snapshot.
 func (s *soak) rebStep() error {
 	if s.rebMig == nil {
-		pi := s.rebRng.Intn(len(s.reb.Parts()))
+		pi := s.rebRng.Intn(s.reb.Shards())
 		dst := 1 - s.reb.Owner(pi) // ping-pong between the two back-ends
 		m, err := s.reb.BeginMigration(pi, s.rebConns[dst])
 		if err != nil {
@@ -434,7 +434,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.mw[1], err = ds.OpenStriped(conns2[0], kvName, true, dsOpts()); err != nil {
+		if s.mw[1], err = ds.OpenSharded(conns2[:1], kvName, true, dsOpts()); err != nil {
 			return nil, err
 		}
 		s.mwFes[0], s.mwFes[1] = fe, fe2
@@ -843,7 +843,7 @@ func (s *soak) verify(tag string) {
 	}
 	var rget func(uint64) ([]byte, bool, error)
 	if s.mw[0] != nil {
-		rkv, err := ds.OpenStriped(conns[0], kvName, false, dsOpts())
+		rkv, err := ds.OpenSharded(conns[:1], kvName, false, dsOpts())
 		if err != nil {
 			s.violation("verify[%s]: reader open kv: %v", tag, err)
 			return
@@ -853,7 +853,7 @@ func (s *soak) verify(tag string) {
 		// The reader routes by the persisted versioned map alone: after
 		// however many cutovers, it must land on each partition's current
 		// home to find the committed keys.
-		rkv, err := ds.OpenPartitioned(conns, kvName, false, dsOpts())
+		rkv, err := ds.OpenSharded(conns, kvName, false, dsOpts())
 		if err != nil {
 			s.violation("verify[%s]: reader open kv: %v", tag, err)
 			return
@@ -894,7 +894,7 @@ func (s *soak) mirrorVerify(tag string, primary *core.Conn) {
 		s.violation("mirror[%s]: connect: %v", tag, err)
 		return
 	}
-	mkv, err := ds.OpenStriped(mconn, kvName, false, dsOpts())
+	mkv, err := ds.OpenSharded([]*core.Conn{mconn}, kvName, false, dsOpts())
 	if err != nil {
 		s.violation("mirror[%s]: open kv: %v", tag, err)
 		return

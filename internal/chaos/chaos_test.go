@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,44 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 	if a.Stats != b.Stats {
 		t.Fatalf("final stats differ:\n%+v\n%+v", a.Stats, b.Stats)
+	}
+}
+
+// TestSoakReleasesCluster pins that a finished soak leaves nothing
+// reachable: after further soaks and a GC, the goroutine count and the
+// live heap are back at the one-soak baseline. Every promotion and
+// restart replaces replica replayers; one left running outlives
+// Cluster.Stop and pins a whole device image (256 MB) per soak, which is
+// what made `-count` runs of the determinism tests run out of memory.
+func TestSoakReleasesCluster(t *testing.T) {
+	settled := func() (int, uint64) {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return runtime.NumGoroutine(), ms.HeapAlloc
+	}
+	soak := func() {
+		t.Helper()
+		rep, err := Run(smallConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats.Failovers < 3 {
+			t.Fatalf("soak drove %d failovers; the release check needs promotions and restarts", rep.Stats.Failovers)
+		}
+	}
+	soak()
+	g1, h1 := settled()
+	soak()
+	soak()
+	gN, hN := settled()
+	if gN > g1 {
+		t.Errorf("goroutines grew from %d after one soak to %d after three: a replaced node's service loop is still parked", g1, gN)
+	}
+	const slack = 32 << 20 // well under one device image
+	if hN > h1+slack {
+		t.Errorf("live heap grew from %d MB after one soak to %d MB after three: finished soaks stay reachable", h1>>20, hN>>20)
 	}
 }
 

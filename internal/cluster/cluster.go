@@ -466,13 +466,8 @@ func (c *Cluster) RestartBackend(backendID int, powerFail bool) (*backend.Backen
 	// deployment time), then the archive: its op cursor resumes at the
 	// replayer's applied point, everything earlier was archived before
 	// the stop drain.
-	for m := range c.Mirrors[backendID] {
-		mdev := c.Mirrors[backendID][m].Device()
-		rep, err := mirror.NewReplica(mdev, bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
-		if err != nil {
-			return nil, nil, err
-		}
-		c.Mirrors[backendID][m] = rep
+	if err := c.reattachReplicas(backendID, bk); err != nil {
+		return nil, nil, err
 	}
 	if arch := c.archiveFor(backendID); arch != nil {
 		bk.AddMirror(arch)
@@ -488,6 +483,23 @@ func (c *Cluster) RestartBackend(backendID int, powerFail bool) (*backend.Backen
 	}
 	_ = c.KA.Renew(fmt.Sprintf("backend%d", backendID))
 	return bk, bk.RecoveredSlots(), nil
+}
+
+// reattachReplicas gives the slot's surviving replica devices to a new
+// primary with a fresh full sync, as at deployment time. Each superseded
+// replica's internal replayer is stopped first: its service goroutine
+// would otherwise outlive the cluster — nothing lists it any more — and
+// pin its device image for the life of the process.
+func (c *Cluster) reattachReplicas(backendID int, bk *backend.Backend) error {
+	for m, old := range c.Mirrors[backendID] {
+		old.Stop()
+		rep, err := mirror.NewReplica(old.Device(), bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
+		if err != nil {
+			return err
+		}
+		c.Mirrors[backendID][m] = rep
+	}
+	return nil
 }
 
 // PromoteMirror models Case 4, a permanent back-end failure with an NVM
@@ -518,13 +530,8 @@ func (c *Cluster) promoteLocked(backendID, mirrorIdx int) (*backend.Backend, err
 		return nil, err
 	}
 	c.Mirrors[backendID] = append(c.Mirrors[backendID][:mirrorIdx], c.Mirrors[backendID][mirrorIdx+1:]...)
-	for m := range c.Mirrors[backendID] {
-		mdev := c.Mirrors[backendID][m].Device()
-		nrep, err := mirror.NewReplica(mdev, bk, backend.Options{Profile: &c.cfg.Profile, Compact: c.cfg.Compact})
-		if err != nil {
-			return nil, err
-		}
-		c.Mirrors[backendID][m] = nrep
+	if err := c.reattachReplicas(backendID, bk); err != nil {
+		return nil, err
 	}
 	if arch := c.archiveFor(backendID); arch != nil {
 		bk.AddMirror(arch)

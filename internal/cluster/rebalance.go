@@ -9,7 +9,7 @@ import (
 )
 
 // Elastic rebalancing: the cluster-level orchestration over the ds
-// layer's partition handoff (ds.Partitioned.BeginMigration et al.).
+// layer's shard handoff (ds.Sharded.BeginMigration et al.).
 // Placement is decided by a consistent-hash ring over the back-end
 // slots; PlanMoves diffs a structure's persisted mapping table against
 // the ring's assignment, and Rebalance drives one partition's handoff
@@ -135,9 +135,9 @@ type Move struct {
 // against the ring's assignment and returns the partitions that must
 // move. Connection indices and back-end slots coincide for front-ends
 // built by Cluster.NewFrontend (conns are indexed by back-end id).
-func PlanMoves(p *ds.Partitioned, r *Ring) []Move {
+func PlanMoves(p *ds.Sharded, r *Ring) []Move {
 	var moves []Move
-	for pi := range p.Parts() {
+	for pi := 0; pi < p.Shards(); pi++ {
 		want := r.Owner(uint64(pi))
 		if want < 0 {
 			continue
@@ -166,7 +166,7 @@ type RebalanceHooks struct {
 // destination generation left as orphaned garbage for the next
 // attempt's generation probe to skip — so the structure is always left
 // with exactly one owner per partition.
-func Rebalance(p *ds.Partitioned, pi int, dst *core.Conn, hooks RebalanceHooks) (int, error) {
+func Rebalance(p *ds.Sharded, pi int, dst *core.Conn, hooks RebalanceHooks) (int, error) {
 	m, err := p.BeginMigration(pi, dst)
 	if err != nil {
 		return 0, err

@@ -120,7 +120,7 @@ func TestRebalanceDrainsBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := ds.OpenPartitioned(conns2, "elastic", false, dsOpts)
+	p2, err := ds.OpenSharded(conns2, "elastic", false, dsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRingMembershipEdges(t *testing.T) {
 	r.Add(3)
 	r.Add(1)
 	v := r.Version()
-	r.Add(3) // duplicate: no-op, no version bump
+	r.Add(3)    // duplicate: no-op, no version bump
 	r.Remove(9) // non-member: no-op, no version bump
 	if r.Version() != v {
 		t.Fatal("no-op membership changes bumped the version")

@@ -91,8 +91,8 @@ type Frontend struct {
 	// deadlineAt is the armed virtual-time deadline (0 = none); owned by
 	// the node's operating goroutine like the rest of the writer state.
 	deadlineAt time.Duration
-	tr    *trace.ActorTracer // nil when tracing is disabled
-	tuner *autoTuner         // nil unless Mode.AutoTune
+	tr         *trace.ActorTracer // nil when tracing is disabled
+	tuner      *autoTuner         // nil unless Mode.AutoTune
 }
 
 // FrontendOptions configures a front-end node.
@@ -191,6 +191,7 @@ type Conn struct {
 	ep        *rdma.Endpoint
 	layout    backend.Layout
 	kick      func()
+	alive     func() bool // the mounted node's service loop still runs
 	rpcSeq    uint64
 	slab      *alloc.TwoTier
 	epoch     uint64 // back-end incarnation observed at connect
@@ -221,6 +222,7 @@ func (fe *Frontend) Connect(bk *backend.Backend) (*Conn, error) {
 		ep:        ep,
 		layout:    layout,
 		kick:      bk.Kick,
+		alive:     bk.Alive,
 	}
 	// Resume the RPC sequence from the response cell (idempotent across
 	// front-end restarts).
@@ -255,18 +257,21 @@ func (c *Conn) Kick() { c.kick() }
 // Frontend returns the owning node.
 func (c *Conn) Frontend() *Frontend { return c.fe }
 
-// errRPCNoResponse marks an RPC poll timeout. It is retried like a lost
-// completion: re-sending the same sequence number is exactly-once (the
-// back-end dedups by seq, and a stale duplicate finds its response already
-// in the cell).
-var errRPCNoResponse = errors.New("core: no RPC response")
-
 // rpc performs one ring RPC: write the request cell, kick, poll the
 // response cell. Two round trips in the common case, exactly the RFP
 // pattern of §5.1. The whole exchange is the retry/failover unit — a
 // faulted request write, a dropped response, or a back-end death mid-call
 // each re-drive the same sequence number, against the replacement node
-// after a failover.
+// after a failover. Re-sending a sequence number is exactly-once: the
+// back-end dedups by seq, and a stale duplicate finds its response
+// already in the cell.
+//
+// The poll is bounded by simulated state only: it ends on the matching
+// response, or when the node the request was written to has lost its
+// service loop (crash, restart, promotion) — reported as a disconnect so
+// the failover path re-drives the call. Host time never ends it: a
+// descheduled back-end goroutine must not become a counted retry with
+// backoff charged to the virtual clock.
 func (c *Conn) rpc(op, a1, a2 uint64) (backend.RPCResponse, error) {
 	c.rpcSeq++
 	req := backend.EncodeRPCRequest(backend.RPCRequest{Seq: c.rpcSeq, Op: op, A1: a1, A2: a2})
@@ -280,6 +285,9 @@ func (c *Conn) rpc(op, a1, a2 uint64) (backend.RPCResponse, error) {
 		c.kick()
 		cell := make([]byte, 64)
 		for i := 0; ; i++ {
+			// Sampled before the read: a loop seen dead here wrote any
+			// response it was ever going to write before the read below.
+			gone := !c.alive()
 			var err error
 			if i == 0 {
 				// The response fetch costs one round trip; repeat polls are
@@ -297,8 +305,9 @@ func (c *Conn) rpc(op, a1, a2 uint64) (backend.RPCResponse, error) {
 				resp = r
 				return nil
 			}
-			if i > 1<<20 {
-				return fmt.Errorf("%w: seq %d", errRPCNoResponse, c.rpcSeq)
+			if gone {
+				return fmt.Errorf("%w: back-end %d stopped serving before RPC seq %d was answered",
+					rdma.ErrDisconnected, c.backendID, c.rpcSeq)
 			}
 			runtime.Gosched()
 		}

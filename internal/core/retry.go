@@ -86,7 +86,7 @@ func classify(err error) errClass {
 		return classPermanent
 	case errors.Is(err, rdma.ErrDisconnected):
 		return classFatal
-	case errors.Is(err, rdma.ErrInjected), errors.Is(err, errRPCNoResponse):
+	case errors.Is(err, rdma.ErrInjected):
 		return classTransient
 	default:
 		return classPermanent
@@ -110,6 +110,7 @@ func (c *Conn) SetFailover(f func() (*backend.Backend, error)) { c.failover = f 
 func (c *Conn) Retarget(bk *backend.Backend) error {
 	c.ep.Retarget(bk.Target())
 	c.kick = bk.Kick
+	c.alive = bk.Alive
 	c.backendID = bk.ID()
 	epoch, err := c.ep.Load64Quiet(backend.EpochOff)
 	if err != nil {

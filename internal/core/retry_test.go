@@ -162,8 +162,6 @@ func TestClassify(t *testing.T) {
 		{"nil", nil, classPermanent},
 		{"injected", rdma.ErrInjected, classTransient},
 		{"injected wrapped", fmt.Errorf("verb: %w", rdma.ErrInjected), classTransient},
-		{"rpc timeout", errRPCNoResponse, classTransient},
-		{"rpc timeout wrapped", fmt.Errorf("%w: seq 9", errRPCNoResponse), classTransient},
 		{"disconnected", rdma.ErrDisconnected, classFatal},
 		{"disconnected wrapped", fmt.Errorf("flush: %w", rdma.ErrDisconnected), classFatal},
 		{"deadline", ErrDeadlineExceeded, classPermanent},

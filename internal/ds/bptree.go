@@ -31,11 +31,8 @@ const (
 
 // BPTree is a persistent B+Tree.
 type BPTree struct {
-	h      *core.Handle
-	w      writerSession
-	cap    int
-	pol    *levelPolicy
-	writer bool
+	kvBase
+	pol *levelPolicy
 }
 
 // bptNodeT is the in-memory image; the arrays carry one overflow slot so
@@ -125,8 +122,7 @@ func OpenBPTree(c *core.Conn, name string, writer bool, opts Options) (*BPTree, 
 }
 
 func newBPTree(h *core.Handle, opts Options, writer bool) (*BPTree, error) {
-	t := &BPTree{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap, pol: newLevelPolicy(), writer: writer}
+	t := &BPTree{kvBase: newKVBase(h, opts, writer), pol: newLevelPolicy()}
 	if opts.FlatCache {
 		t.pol = newFlatPolicy()
 	}
@@ -137,9 +133,6 @@ func newBPTree(h *core.Handle, opts Options, writer bool) (*BPTree, error) {
 	}
 	return t, nil
 }
-
-// Handle exposes the underlying framework handle.
-func (t *BPTree) Handle() *core.Handle { return t.h }
 
 func (t *BPTree) readNode(addr uint64, depth int) (*bptNodeT, error) {
 	buf, err := t.h.Read(addr, bptNode, t.pol.cacheable(depth))
@@ -518,54 +511,15 @@ func (t *BPTree) VectorPut(keys []uint64, vals [][]byte) error {
 	return t.w.end()
 }
 
-// Flush flushes the batch buffers.
-func (t *BPTree) Flush() error { return t.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (t *BPTree) Drain() error {
-	if err := t.h.Flush(); err != nil {
-		return err
-	}
-	return t.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (t *BPTree) Close() error {
-	if !t.writer {
-		return nil
-	}
-	if err := t.Drain(); err != nil {
-		return err
-	}
-	return t.h.WriterUnlock()
+var bptreeReplay = replayTable[*BPTree]{
+	split: blobParamsSplit,
+	put:   func(t *BPTree, key uint64, val []byte) error { return t.put(key, val, 0) },
+	many:  true,
 }
 
 // ReplayOp re-executes one pending op-log record.
 func (t *BPTree) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := blobParamsSplit(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := t.put(key, val, 0); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	case OpPutMany:
-		keys, vals, err := decodePutMany(rec.Params)
-		if err != nil {
-			return err
-		}
-		for i := range keys {
-			if err := t.put(keys[i], vals[i], 0); err != nil {
-				return err
-			}
-		}
-		return t.h.EndOp()
-	default:
-		return fmt.Errorf("ds: b+tree cannot replay op %d", rec.OpType)
-	}
+	return replayOp(t, "b+tree", rec, &bptreeReplay)
 }
 
 // sortedOrder returns indexes of keys in ascending key order.

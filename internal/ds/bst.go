@@ -21,11 +21,8 @@ const bstHdr = 32
 
 // BST is a persistent binary search tree.
 type BST struct {
-	h      *core.Handle
-	w      writerSession
-	cap    int
-	pol    *levelPolicy
-	writer bool
+	kvBase
+	pol *levelPolicy
 }
 
 func (t *BST) nodeSize() int { return bstHdr + t.cap }
@@ -60,8 +57,7 @@ func OpenBST(c *core.Conn, name string, writer bool, opts Options) (*BST, error)
 }
 
 func newBST(h *core.Handle, opts Options, writer bool) (*BST, error) {
-	t := &BST{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap, pol: newLevelPolicy(), writer: writer}
+	t := &BST{kvBase: newKVBase(h, opts, writer), pol: newLevelPolicy()}
 	if opts.FlatCache {
 		t.pol = newFlatPolicy()
 	}
@@ -72,9 +68,6 @@ func newBST(h *core.Handle, opts Options, writer bool) (*BST, error) {
 	}
 	return t, nil
 }
-
-// Handle exposes the underlying framework handle.
-func (t *BST) Handle() *core.Handle { return t.h }
 
 func (t *BST) encodeNode(key, left, right uint64, val []byte) []byte {
 	buf := make([]byte, t.nodeSize())
@@ -363,55 +356,13 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 	return nil
 }
 
-// Flush flushes the batch buffers.
-func (t *BST) Flush() error { return t.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (t *BST) Drain() error {
-	if err := t.h.Flush(); err != nil {
-		return err
-	}
-	return t.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (t *BST) Close() error {
-	if !t.writer {
-		return nil
-	}
-	if err := t.Drain(); err != nil {
-		return err
-	}
-	return t.h.WriterUnlock()
+var bstReplay = replayTable[*BST]{
+	put:  func(t *BST, key uint64, val []byte) error { return t.put(key, val, 0) },
+	many: true,
 }
 
 // ReplayOp re-executes one pending op-log record.
-func (t *BST) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := t.put(key, val, 0); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	case OpPutMany:
-		keys, vals, err := decodePutMany(rec.Params)
-		if err != nil {
-			return err
-		}
-		for i := range keys {
-			if err := t.put(keys[i], vals[i], 0); err != nil {
-				return err
-			}
-		}
-		return t.h.EndOp()
-	default:
-		return fmt.Errorf("ds: bst cannot replay op %d", rec.OpType)
-	}
-}
+func (t *BST) ReplayOp(rec logrec.OpRecord) error { return replayOp(t, "bst", rec, &bstReplay) }
 
 // encodePutMany packs a key/value vector into op-log params:
 // {count u32, keys..., (vlen u32, val)...}.

@@ -607,11 +607,11 @@ func partitionedCrashCase() crashCase {
 					t.Fatalf("break partition %d lock: %v", i, err)
 				}
 			}
-			p, err := OpenPartitioned([]*core.Conn{c}, "Part", true, crashOpts())
+			p, err := OpenSharded([]*core.Conn{c}, "Part", true, crashOpts())
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if got := len(p.Parts()); got != parts {
+			if got := p.Shards(); got != parts {
 				t.Fatalf("mapping meta reports %d partitions, want %d", got, parts)
 			}
 			if err := p.DrainAll(); err != nil {
@@ -712,7 +712,7 @@ func stripedCrashCase() crashCase {
 			// per-stripe lock-ahead logs name it, so each word is broken
 			// independently.
 			for i := 0; i < stripes; i++ {
-				raw, err := c.Open(stripeName("Striped", i), true)
+				raw, err := c.Open(shardName("Striped", true, i, 0), true)
 				if err != nil {
 					t.Fatalf("raw stripe open %d: %v", i, err)
 				}
@@ -720,11 +720,11 @@ func stripedCrashCase() crashCase {
 					t.Fatalf("break stripe %d lock: %v", i, err)
 				}
 			}
-			s, err := OpenStriped(c, "Striped", true, crashOpts())
+			s, err := OpenSharded([]*core.Conn{c}, "Striped", true, crashOpts())
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			if got := s.Stripes(); got != stripes {
+			if got := s.Shards(); got != stripes {
 				t.Fatalf("stripe meta reports %d stripes, want %d", got, stripes)
 			}
 			for i := 1; i <= crashSeedItems; i++ {
@@ -755,7 +755,7 @@ func stripedCrashCase() crashCase {
 				// Stripe-routing consistency: a surviving key must be in
 				// exactly the stripe the hash names.
 				if found[i] {
-					if _, ok, err := s.Stripe(i).Get(k); err != nil || !ok {
+					if _, ok, err := s.Shard(i).Get(k); err != nil || !ok {
 						t.Fatalf("probe key %d missing from its owning stripe: ok=%v err=%v", k, ok, err)
 					}
 				}
@@ -909,7 +909,7 @@ func TestMigrationCrashSourceMidStream(t *testing.T) {
 	conns2 := cell.connect(2)
 	breakPart(t, conns2[0], "mcrA#0", 1)
 	breakPart(t, conns2[1], "mcrA#1", 1)
-	p2, err := OpenPartitioned(conns2, "mcrA", true, migCrashOpts())
+	p2, err := OpenSharded(conns2, "mcrA", true, migCrashOpts())
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -923,7 +923,7 @@ func TestMigrationCrashSourceMidStream(t *testing.T) {
 	if res != -1 {
 		t.Fatalf("resolution = %+d, want -1 (aborted stream)", res)
 	}
-	if h := p2.PartHandle(pi); h == nil || h.Conn().BackendID() != 0 {
+	if h := p2.Handle(pi); h == nil || h.Conn().BackendID() != 0 {
 		t.Fatal("ownership moved despite an unflipped map")
 	}
 	if err := p2.DrainAll(); err != nil {
@@ -952,7 +952,7 @@ func TestMigrationCrashSourceMidStream(t *testing.T) {
 	if err := m2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if h := p2.PartHandle(pi); h == nil || h.Conn().BackendID() != 1 {
+	if h := p2.Handle(pi); h == nil || h.Conn().BackendID() != 1 {
 		t.Fatal("retry handoff did not land on the destination")
 	}
 	for k, want := range oracle {
@@ -1008,7 +1008,7 @@ func TestMigrationCrashDestBeforeCutover(t *testing.T) {
 	conns2 := cell.connect(2)
 	breakPart(t, conns2[0], "mcrB#0", 1)
 	breakPart(t, conns2[1], "mcrB#1", 1)
-	p2, err := OpenPartitioned(conns2, "mcrB", true, migCrashOpts())
+	p2, err := OpenSharded(conns2, "mcrB", true, migCrashOpts())
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -1019,7 +1019,7 @@ func TestMigrationCrashDestBeforeCutover(t *testing.T) {
 	if res != -1 {
 		t.Fatalf("resolution = %+d, want -1 (map never flipped)", res)
 	}
-	if h := p2.PartHandle(pi); h == nil || h.Conn().BackendID() != 0 {
+	if h := p2.Handle(pi); h == nil || h.Conn().BackendID() != 0 {
 		t.Fatal("ownership moved despite an unflipped map")
 	}
 	if err := p2.DrainAll(); err != nil {
@@ -1103,11 +1103,11 @@ func TestMigrationCrashAfterFlip(t *testing.T) {
 	conns2 := cell.connect(2)
 	breakPart(t, conns2[1], "mcrC#0.g1", 1)
 	breakPart(t, conns2[1], "mcrC#1", 1)
-	p2, err := OpenPartitioned(conns2, "mcrC", true, migCrashOpts())
+	p2, err := OpenSharded(conns2, "mcrC", true, migCrashOpts())
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	if h := p2.PartHandle(pi); h == nil || h.Conn().BackendID() != 1 {
+	if h := p2.Handle(pi); h == nil || h.Conn().BackendID() != 1 {
 		t.Fatal("durable flip lost: recovery did not land on the destination")
 	}
 	res, err := p2.ResolveMigration()
@@ -1151,16 +1151,22 @@ func TestMigrationCrashAfterFlip(t *testing.T) {
 	}
 }
 
-// TestMigrationCrashStriped covers the striped rows of the phase matrix:
-// a coordinator death before cutover leaves the source sole owner (and a
-// retry surfaces the orphaned same-name destination as ErrExists rather
-// than corrupting it); a death after cutover leaves the moved-to stamp
-// durable, so the source redirects and the destination owns the full
-// history.
+// TestMigrationCrashStriped covers the shared-discipline rows of the
+// phase matrix, one stripe handed off through the single Migration: a
+// coordinator death before cutover leaves the source sole owner with no
+// acked key lost, and a retry succeeds on the next generation (past the
+// orphaned destination); a death after cutover leaves the flipped owner
+// word durable, so recovery lands on the destination with the full
+// history and an attachment limited to the old home is redirected.
 func TestMigrationCrashStriped(t *testing.T) {
-	t.Run("before-cutover", func(t *testing.T) {
-		cell := newMigCell(t, 2)
-		s, err := CreateStriped(cell.conns[0], KindHashTable, "mcrS", 4, migCrashOpts())
+	const si = 0
+	// build seeds a striped table through a writer attached to both
+	// back-ends and opens stripe si's handoff up to the double-log window.
+	build := func(t *testing.T, cell *migCell, name string) (*Sharded, *Migration, map[uint64][]byte) {
+		if _, err := CreateStriped(cell.conns[0], KindHashTable, name, 4, migCrashOpts()); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSharded(cell.conns, name, true, migCrashOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1172,7 +1178,7 @@ func TestMigrationCrashStriped(t *testing.T) {
 			}
 			oracle[k] = val(i)
 		}
-		m, err := s.BeginMigration(cell.conns[1])
+		m, err := s.BeginMigration(si, cell.conns[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1186,49 +1192,61 @@ func TestMigrationCrashStriped(t *testing.T) {
 			}
 			oracle[k] = val(4000 + i)
 		}
+		return s, m, oracle
+	}
+	intact := func(t *testing.T, s *Sharded, oracle map[uint64][]byte, where string) {
+		t.Helper()
+		for k, want := range oracle {
+			got, ok, err := s.Get(k)
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("committed key %d lost %s: ok=%v err=%v got=%q", k, where, ok, err, got)
+			}
+		}
+	}
+	t.Run("before-cutover", func(t *testing.T) {
+		cell := newMigCell(t, 2)
+		_, _, oracle := build(t, cell, "mcrS")
 		// Coordinator dies before Cutover; both nodes power-fail.
 		cell.crashBackend(0)
 		cell.crashBackend(1)
 
 		conns2 := cell.connect(2)
-		s2, err := OpenStriped(conns2[0], "mcrS", true, migCrashOpts())
+		s2, err := OpenSharded(conns2, "mcrS", true, migCrashOpts())
 		if err != nil {
-			t.Fatalf("source must still open (no moved-to stamp): %v", err)
+			t.Fatalf("source must still open (map never flipped): %v", err)
 		}
-		for k, want := range oracle {
-			got, ok, err := s2.Get(k)
-			if err != nil || !ok || !bytes.Equal(got, want) {
-				t.Fatalf("committed key %d lost on the source: ok=%v err=%v got=%q", k, ok, err, got)
-			}
+		if res, err := s2.ResolveMigration(); err != nil || res != -1 {
+			t.Fatalf("resolution = %+d, %v; want -1 (aborted stream)", res, err)
 		}
-		// The orphaned same-name destination blocks a blind retry: that is
-		// surfaced, never silently adopted (re-replaying into a partially
-		// streamed structure could double-apply).
-		if _, err := s2.BeginMigration(conns2[1]); !errors.Is(err, core.ErrExists) {
-			t.Fatalf("retry against an orphaned destination = %v, want ErrExists", err)
+		if s2.Owner(si) != 0 || s2.Handle(si).Conn().BackendID() != 0 {
+			t.Fatal("ownership moved despite an unflipped map")
 		}
+		intact(t, s2, oracle, "on the source")
+		// Retry: the orphaned generation-1 destination must not collide.
+		m2, err := s2.BeginMigration(si, conns2[1])
+		if err != nil {
+			t.Fatalf("retry past the orphaned destination: %v", err)
+		}
+		if m2.gen != 2 {
+			t.Fatalf("retry generation %d, want 2", m2.gen)
+		}
+		if _, err := m2.StreamSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.Cutover(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if s2.Handle(si).Conn().BackendID() != 1 {
+			t.Fatal("retry handoff did not land on the destination")
+		}
+		intact(t, s2, oracle, "after the retry handoff")
 	})
 	t.Run("after-cutover", func(t *testing.T) {
 		cell := newMigCell(t, 2)
-		s, err := CreateStriped(cell.conns[0], KindHashTable, "mcrS2", 4, migCrashOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := map[uint64][]byte{}
-		for i := 1; i <= 80; i++ {
-			k := uint64(i * 2654435761)
-			if err := s.Put(k, val(i)); err != nil {
-				t.Fatal(err)
-			}
-			oracle[k] = val(i)
-		}
-		m, err := s.BeginMigration(cell.conns[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.StreamSnapshot(); err != nil {
-			t.Fatal(err)
-		}
+		_, m, oracle := build(t, cell, "mcrS2")
 		if err := m.Cutover(); err != nil {
 			t.Fatal(err)
 		}
@@ -1237,18 +1255,19 @@ func TestMigrationCrashStriped(t *testing.T) {
 		cell.crashBackend(1)
 
 		conns2 := cell.connect(2)
-		if _, err := OpenStriped(conns2[0], "mcrS2", false, migCrashOpts()); !errors.Is(err, core.ErrMoved) {
-			t.Fatalf("moved source open = %v, want ErrMoved", err)
+		if _, err := OpenSharded(conns2[:1], "mcrS2", false, migCrashOpts()); !errors.Is(err, core.ErrMoved) {
+			t.Fatalf("open with only the old home attached = %v, want ErrMoved", err)
 		}
-		d, err := OpenStriped(conns2[1], "mcrS2", true, migCrashOpts())
+		d, err := OpenSharded(conns2, "mcrS2", true, migCrashOpts())
 		if err != nil {
-			t.Fatalf("destination open: %v", err)
+			t.Fatalf("recovery open: %v", err)
 		}
-		for k, want := range oracle {
-			got, ok, err := d.Get(k)
-			if err != nil || !ok || !bytes.Equal(got, want) {
-				t.Fatalf("committed key %d lost on the destination: ok=%v err=%v got=%q", k, ok, err, got)
-			}
+		if d.Handle(si).Conn().BackendID() != 1 {
+			t.Fatal("recovery did not land on the destination despite a durable flip")
 		}
+		if res, err := d.ResolveMigration(); err != nil || res != 1 {
+			t.Fatalf("resolution = %+d, %v; want +1 (completed flip)", res, err)
+		}
+		intact(t, d, oracle, "on the destination")
 	})
 }

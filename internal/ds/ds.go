@@ -75,6 +75,46 @@ type KV interface {
 	Flush() error
 }
 
+// kvBase is the handle plumbing the six index structures share: the
+// framework handle, its per-operation write bracket, the inline value
+// capacity and the role — and with them the half of the shard surface
+// (Handle, Flush, Drain, Close) that is the same for every kind.
+type kvBase struct {
+	h      *core.Handle
+	w      writerSession
+	cap    int
+	writer bool
+}
+
+func newKVBase(h *core.Handle, opts Options, writer bool) kvBase {
+	return kvBase{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp}, cap: opts.ValueCap, writer: writer}
+}
+
+// Handle exposes the framework handle.
+func (b *kvBase) Handle() *core.Handle { return b.h }
+
+// Flush flushes the batch buffers.
+func (b *kvBase) Flush() error { return b.h.Flush() }
+
+// Drain flushes and waits for replay.
+func (b *kvBase) Drain() error {
+	if err := b.h.Flush(); err != nil {
+		return err
+	}
+	return b.h.Drain()
+}
+
+// Close drains and releases the writer lock.
+func (b *kvBase) Close() error {
+	if !b.writer {
+		return nil
+	}
+	if err := b.Drain(); err != nil {
+		return err
+	}
+	return b.h.WriterUnlock()
+}
+
 // kvParams encodes {key, value} op-log parameters.
 func kvParams(key uint64, val []byte) []byte {
 	p := make([]byte, 8+len(val))
@@ -166,6 +206,72 @@ func readRetry(h *core.Handle, body func() error) error {
 // rebuild). Each structure implements it on its writer type.
 type Replayer interface {
 	ReplayOp(rec logrec.OpRecord) error
+}
+
+// replayTable is one structure kind's static map from op-log opcodes to
+// the semantic mutators that re-execute them. A nil entry means the kind
+// never logs that opcode.
+type replayTable[S handled] struct {
+	split func([]byte) (uint64, []byte, error) // OpPut params codec; nil = splitKV
+	put   func(S, uint64, []byte) error        // OpPut, and every pair of an OpPutMany when many
+	many  bool
+	del   func(S, uint64) error // OpDelete
+	push  func(S, []byte) error // OpPush
+	pop   func(S) (bool, error) // OpPop; false = already empty, nothing happened
+}
+
+// replayOp re-executes one op-log record on s through its kind's table —
+// the one place the transactional flag is masked, parameters are decoded,
+// and the operation boundary is marked. A pop that finds the structure
+// empty did nothing, so it marks no boundary.
+func replayOp[S handled](s S, name string, rec logrec.OpRecord, tab *replayTable[S]) error {
+	switch op := rec.OpType &^ logrec.OpTxFlag; {
+	case op == OpPut && tab.put != nil:
+		split := tab.split
+		if split == nil {
+			split = splitKV
+		}
+		key, val, err := split(rec.Params)
+		if err != nil {
+			return err
+		}
+		if err := tab.put(s, key, val); err != nil {
+			return err
+		}
+	case op == OpPutMany && tab.many:
+		keys, vals, err := decodePutMany(rec.Params)
+		if err != nil {
+			return err
+		}
+		for i := range keys {
+			if err := tab.put(s, keys[i], vals[i]); err != nil {
+				return err
+			}
+		}
+	case op == OpDelete && tab.del != nil:
+		key, _, err := splitKV(rec.Params)
+		if err != nil {
+			return err
+		}
+		if err := tab.del(s, key); err != nil {
+			return err
+		}
+	case op == OpPush && tab.push != nil:
+		_, val, err := splitKV(rec.Params)
+		if err != nil {
+			return err
+		}
+		if err := tab.push(s, val); err != nil {
+			return err
+		}
+	case op == OpPop && tab.pop != nil:
+		if popped, err := tab.pop(s); err != nil || !popped {
+			return err
+		}
+	default:
+		return fmt.Errorf("ds: %s cannot replay op %d", name, rec.OpType)
+	}
+	return s.Handle().EndOp()
 }
 
 // ReplayPending drains a writer handle's uncovered op-log records through

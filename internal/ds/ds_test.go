@@ -709,12 +709,12 @@ func TestPartitionedAcrossBackends(t *testing.T) {
 		}
 	}
 	// Reopen via the persisted mapping meta.
-	p2, err := OpenPartitioned(conns, "pkv", false, Options{Create: testCreate})
+	p2, err := OpenSharded(conns, "pkv", false, Options{Create: testCreate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p2.Parts()) != 6 {
-		t.Fatalf("reopened %d partitions, want 6", len(p2.Parts()))
+	if p2.Shards() != 6 {
+		t.Fatalf("reopened %d partitions, want 6", p2.Shards())
 	}
 	got, ok, _ := p2.Get(2654435761)
 	if !ok || !bytes.Equal(got, val(1)) {

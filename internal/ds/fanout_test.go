@@ -2,6 +2,7 @@ package ds
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"asymnvm/internal/backend"
@@ -220,7 +221,7 @@ func TestPartitionedPutMultiFlushAll(t *testing.T) {
 		}
 		conns2 = append(conns2, c2)
 	}
-	p2, err := OpenPartitioned(conns2, "pput", false, Options{Create: testCreate, Buckets: 32, ValueCap: 64})
+	p2, err := OpenSharded(conns2, "pput", false, Options{Create: testCreate, Buckets: 32, ValueCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +278,53 @@ func TestPartitionedGetMultiAllKinds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBucketMatchesShardOf is the router's property test: for both
+// placements, bucket splits a random key batch exactly as per-key ShardOf
+// routes it, keeps input order inside each group, and its orig index map
+// scatters per-shard results back into input order.
+func TestBucketMatchesShardOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, shared := range []bool{false, true} {
+		for _, n := range []int{1, 3, 4, 8} {
+			if shared && n&(n-1) != 0 {
+				continue // top-bits placement needs a power of two
+			}
+			s := &Sharded{shards: make([]shardKV, n), shared: shared, bits: log2(n)}
+			for round := 0; round < 50; round++ {
+				keys := make([]uint64, rng.Intn(40))
+				for i := range keys {
+					keys[i] = rng.Uint64() >> uint(rng.Intn(64)) // dense and sparse, with repeats
+				}
+				groups, orig := s.bucket(keys)
+				restored := make([]uint64, len(keys))
+				seen := 0
+				for si := range groups {
+					if len(groups[si]) != len(orig[si]) {
+						t.Fatalf("shared=%v n=%d: shard %d has %d keys, %d positions", shared, n, si, len(groups[si]), len(orig[si]))
+					}
+					for j, k := range groups[si] {
+						if s.ShardOf(k) != si {
+							t.Fatalf("shared=%v n=%d: key %d bucketed to shard %d, ShardOf says %d", shared, n, k, si, s.ShardOf(k))
+						}
+						if j > 0 && orig[si][j] <= orig[si][j-1] {
+							t.Fatalf("shared=%v n=%d: shard %d group not in input order", shared, n, si)
+						}
+						restored[orig[si][j]] = k
+						seen++
+					}
+				}
+				if seen != len(keys) {
+					t.Fatalf("shared=%v n=%d: bucketed %d of %d keys", shared, n, seen, len(keys))
+				}
+				for i, k := range keys {
+					if restored[i] != k {
+						t.Fatalf("shared=%v n=%d: orig map restored key %d at %d, want %d", shared, n, restored[i], i, k)
+					}
+				}
+			}
+		}
 	}
 }

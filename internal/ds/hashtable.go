@@ -21,12 +21,9 @@ const htHdr = 24
 
 // HashTable is a persistent chained hash map, SWMR like every structure.
 type HashTable struct {
-	h       *core.Handle
-	w       writerSession
-	cap     int
+	kvBase
 	buckets uint64
 	arr     uint64 // global address of the bucket array
-	writer  bool
 }
 
 func (t *HashTable) nodeSize() int { return htHdr + t.cap }
@@ -55,8 +52,7 @@ func CreateHashTable(c *core.Conn, name string, opts Options) (*HashTable, error
 	if err := h.Flush(); err != nil {
 		return nil, err
 	}
-	t := &HashTable{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap, buckets: uint64(opts.Buckets), arr: arr, writer: true}
+	t := &HashTable{kvBase: newKVBase(h, opts, true), buckets: uint64(opts.Buckets), arr: arr}
 	if !opts.LockPerOp {
 		if err := h.WriterLock(); err != nil {
 			return nil, err
@@ -76,10 +72,7 @@ func OpenHashTable(c *core.Conn, name string, writer bool, opts Options) (*HashT
 	if err != nil {
 		return nil, err
 	}
-	t := &HashTable{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap,
-		arr: binary.LittleEndian.Uint64(meta[:8]), buckets: binary.LittleEndian.Uint64(meta[8:]),
-		writer: writer}
+	t := &HashTable{kvBase: newKVBase(h, opts, writer), arr: binary.LittleEndian.Uint64(meta[:8]), buckets: binary.LittleEndian.Uint64(meta[8:])}
 	if writer {
 		if !opts.LockPerOp {
 			if err := h.WriterLock(); err != nil {
@@ -92,9 +85,6 @@ func OpenHashTable(c *core.Conn, name string, writer bool, opts Options) (*HashT
 	}
 	return t, nil
 }
-
-// Handle exposes the underlying framework handle.
-func (t *HashTable) Handle() *core.Handle { return t.h }
 
 // hashKey mixes the key to a bucket index (fibonacci hashing).
 func (t *HashTable) bucketAddr(key uint64) uint64 {
@@ -374,50 +364,12 @@ func (t *HashTable) delete(key uint64) (bool, error) {
 	return false, nil
 }
 
-// Flush flushes the batch buffers.
-func (t *HashTable) Flush() error { return t.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (t *HashTable) Drain() error {
-	if err := t.h.Flush(); err != nil {
-		return err
-	}
-	return t.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (t *HashTable) Close() error {
-	if !t.writer {
-		return nil
-	}
-	if err := t.Drain(); err != nil {
-		return err
-	}
-	return t.h.WriterUnlock()
+var hashTableReplay = replayTable[*HashTable]{
+	put: func(t *HashTable, key uint64, val []byte) error { return t.put(key, val, 0) },
+	del: func(t *HashTable, key uint64) error { _, err := t.delete(key); return err },
 }
 
 // ReplayOp re-executes one pending op-log record.
 func (t *HashTable) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := t.put(key, val, 0); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	case OpDelete:
-		key, _, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if _, err := t.delete(key); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	default:
-		return fmt.Errorf("ds: hash table cannot replay op %d", rec.OpType)
-	}
+	return replayOp(t, "hash table", rec, &hashTableReplay)
 }

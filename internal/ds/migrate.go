@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"asymnvm/internal/arena"
 	"asymnvm/internal/backend"
@@ -12,53 +13,58 @@ import (
 	"asymnvm/internal/trace"
 )
 
-// Elastic shard migration. A partition is handed off to another back-end
-// while the writer keeps committing:
+// Elastic shard migration. One shard — of either writer discipline — is
+// handed off to another back-end while the writer keeps committing:
 //
-//  1. Begin          — persist the in-flight migration word
-//     (phase=streaming) and create the destination area under a fresh
-//     child-name generation.
+//  1. Begin          — create the destination area under a fresh
+//     child-name generation and persist the in-flight migration word
+//     (phase=streaming).
 //  2. StreamSnapshot — flush and drain the source, then re-execute its
 //     full operation history on the destination through the migration
 //     stream framing (logrec.MigRecord). When the snapshot lands, the
 //     double-log window opens: every subsequent committed write goes to
 //     both source and destination (the live log suffix).
-//  3. Cutover        — drain both sides, then flip the partition's owner
-//     word and bump the map version in ONE logged meta write
-//     (phase=reclaim). Applying that write bumps the meta slot's seqlock
-//     SN — the epoch fence readers observe; their next routed operation
-//     re-reads the map and re-opens the moved partition.
+//  3. Cutover        — drain both sides, then flip the shard's owner word
+//     and bump the map version in ONE logged meta write (phase=reclaim).
+//     Applying that write bumps the meta slot's seqlock SN — the epoch
+//     fence readers observe; their next routed operation re-reads the map
+//     and re-opens the moved shard.
 //  4. Finish         — clear the migration word. The old area is left in
 //     place for lazy reclaim: the naming table has no delete, and an
 //     in-flight reader that raced past the fence may still be walking it
 //     (the same rule that keeps an old root valid across RedirectRoot).
 //
+// Abort abandons a handoff any time before Cutover; ResolveMigration
+// settles a word a crashed writer left behind.
+//
 // Raw byte copy between back-ends is unsound — GlobalAddrs embed the
 // owning node id in their top bits — so migration re-executes operation
 // semantics, never bytes.
 //
-// Crash outcomes (pinned by the crash matrix): death anywhere before
-// Cutover's meta write leaves the source the sole durable owner and the
-// destination generation abandoned garbage (a retry picks the next
-// generation, so it never collides with the orphan); death after the
-// meta write — even before Finish — leaves the flipped map durable, so
-// recovery lands on exactly the destination. There is no window in which
-// both or neither own the partition.
+// Crash outcomes (pinned by the crash matrix, for both disciplines):
+// death anywhere before Cutover's meta write leaves the source the sole
+// durable owner and the destination generation abandoned garbage (a retry
+// picks the next generation, so it never collides with the orphan); death
+// after the meta write — even before Finish — leaves the flipped map
+// durable, so recovery lands on exactly the destination. There is no
+// window in which both or neither own the shard.
+//
+// Stripe locks are shared between front-ends, and a static map upgraded
+// in place is only fenced on by attachments made after the upgrade: other
+// attachments of such a structure must quiesce before Cutover and
+// re-attach afterwards (the standard writer-attach discipline).
 
-// Versioned mapping-table layout in the meta entry's aux user area
-// (offsets relative to backend.AuxUser):
+// Mapping-table layout in the meta entry's aux user area (offsets
+// relative to backend.AuxUser), shared by both meta types:
 //
 //	[0:8)    kind
-//	[8:16)   parts
-//	[16:24)  version    (0 = legacy static map: no fence, default owners)
+//	[8:16)   shards
+//	[16:24)  version    (0 = static map: no fence, default owners)
 //	[24:32)  migration word (see migWord; 0 = none in flight)
-//	[32:...) owner words, one u16 per partition
+//	[32:...) owner words, one u16 per shard
 //
-// An owner word of 0 means the default placement conns[i%len(conns)]
-// under the generation-0 child name; otherwise the low byte holds the
-// owning connection index + 1 and the high byte the child-name
-// generation. Legacy 16-byte maps read back with version 0 because the
-// aux user area is zero-initialised.
+// A static map persists only the first 16 bytes and reads back with
+// version 0 because the aux user area is zero-initialised.
 const (
 	mapVersionOff = 16
 	mapMigOff     = 24
@@ -75,7 +81,7 @@ const (
 	migPhaseReclaim = 2 // map flipped; old area awaiting lazy reclaim
 )
 
-// migWord packs the in-flight migration descriptor: partition, phase,
+// migWord packs the in-flight migration descriptor: shard, phase,
 // destination child-name generation and destination connection index.
 func migWord(pi int, phase, gen, dst uint8) uint64 {
 	return uint64(pi+1) | uint64(phase)<<16 | uint64(gen)<<24 | uint64(dst+1)<<32
@@ -86,28 +92,25 @@ func splitMigWord(w uint64) (pi int, phase, gen, dst uint8) {
 	return int(w&0xFFFF) - 1, uint8(w >> 16), uint8(w >> 24), uint8(w>>32) - 1
 }
 
-// ownerWord packs a partition owner: connection index and generation.
+// ownerWord packs a shard owner: connection index and generation.
 func ownerWord(conn int, gen uint8) uint16 {
 	return uint16(conn+1) | uint16(gen)<<8
 }
 
-// ownerOf resolves partition pi's placement from the wire owner words.
-func ownerOf(owners []uint16, pi, nconns int) (conn int, gen uint8) {
-	if pi < len(owners) && owners[pi] != 0 {
-		return int(owners[pi]&0xFF) - 1, uint8(owners[pi] >> 8)
+// home resolves shard i's placement from the wire owner words. A zero
+// word is the creation-time default — generation 0 on conns[i%len(conns)]
+// for exclusive shards, on conns[0] for shared ones (stripes are born on
+// one back-end whatever else is attached); otherwise the low byte holds
+// the owning connection index + 1 and the high byte the child-name
+// generation.
+func (s *Sharded) home(owners []uint16, i int) (conn int, gen uint8) {
+	if i < len(owners) && owners[i] != 0 {
+		return int(owners[i]&0xFF) - 1, uint8(owners[i] >> 8)
 	}
-	return pi % nconns, 0
-}
-
-// partName names partition pi's naming-table entry. Generation 0 is the
-// creation-time "<name>#<i>"; each migration attempt materialises its
-// destination under the next generation so a retry after a crashed
-// attempt never collides with the abandoned area.
-func partName(name string, pi int, gen uint8) string {
-	if gen == 0 {
-		return fmt.Sprintf("%s#%d", name, pi)
+	if s.shared {
+		return 0, 0
 	}
-	return fmt.Sprintf("%s#%d.g%d", name, pi, gen)
+	return i % len(s.conns), 0
 }
 
 // partMap is the decoded mapping table.
@@ -131,8 +134,8 @@ func (pm *partMap) encode() []byte {
 	return b
 }
 
-// readPartMap reads the mapping table from the meta entry. Legacy
-// 16-byte maps decode with version 0 and nil owners.
+// readPartMap reads the mapping table from the meta entry. Static maps
+// decode with version 0 and nil owners.
 func readPartMap(meta *core.Handle) (partMap, error) {
 	var pm partMap
 	hdr, err := meta.Read(meta.AuxAddr()+backend.AuxUser, mapOwnersOff, false)
@@ -144,13 +147,13 @@ func readPartMap(meta *core.Handle) (partMap, error) {
 	pm.version = binary.LittleEndian.Uint64(hdr[mapVersionOff:])
 	pm.mig = binary.LittleEndian.Uint64(hdr[mapMigOff:])
 	if pm.parts <= 0 || pm.parts > 1<<16 {
-		return pm, fmt.Errorf("ds: corrupt partition meta (parts=%d)", pm.parts)
+		return pm, fmt.Errorf("ds: corrupt shard meta (shards=%d)", pm.parts)
 	}
 	if pm.version == 0 {
 		return pm, nil
 	}
 	if pm.parts > MaxElasticParts {
-		return pm, fmt.Errorf("ds: versioned map with %d parts exceeds the %d-part aux budget", pm.parts, MaxElasticParts)
+		return pm, fmt.Errorf("ds: versioned map with %d shards exceeds the %d-shard aux budget", pm.parts, MaxElasticParts)
 	}
 	ob, err := meta.Read(meta.AuxAddr()+backend.AuxUser+mapOwnersOff, 2*pm.parts, false)
 	if err != nil {
@@ -163,138 +166,151 @@ func readPartMap(meta *core.Handle) (partMap, error) {
 	return pm, nil
 }
 
-// curMap snapshots the writer's authoritative in-memory map.
-func (p *Partitioned) curMap() partMap {
-	return partMap{kind: p.kind, parts: len(p.parts), version: p.version, mig: p.migw, owners: p.owners}
-}
-
-// writeMap persists pm through the meta entry's log path and makes it
-// visible: Flush commits the record, Drain waits until the back-end
-// replayer has applied it — the apply bumps the meta slot SN readers
-// fence on, so after writeMap returns the flip is observable.
-func (p *Partitioned) writeMap(pm *partMap) error {
-	if err := p.meta.Write(p.meta.AuxAddr()+backend.AuxUser, pm.encode()); err != nil {
+// installMap is the one way the mapping table changes. mutate edits a
+// staged copy of the writer's map; the copy goes through the meta entry's
+// log path — Flush commits the record, Drain waits until the back-end
+// replayer has applied it, and that apply bumps the meta slot SN readers
+// fence on — and only then do the handle's fields adopt it. A failed
+// write therefore leaves the in-memory map exactly as durable as it was:
+// no claimed flip, no forgotten migration word.
+func (s *Sharded) installMap(mutate func(*partMap)) error {
+	if !s.meta.IsWriter() {
+		// OpenSharded opens the meta entry read-only; map changes need
+		// the log path.
+		meta, err := s.conns[0].Open(s.name, true)
+		if err != nil {
+			return err
+		}
+		s.meta = meta
+	}
+	pm := partMap{
+		kind: s.kind, parts: len(s.shards), version: s.version, mig: s.migw,
+		owners: append([]uint16(nil), s.owners...),
+	}
+	mutate(&pm)
+	if err := s.meta.Write(s.meta.AuxAddr()+backend.AuxUser, pm.encode()); err != nil {
 		return err
 	}
-	if err := p.meta.Flush(); err != nil {
+	if err := s.meta.Flush(); err != nil {
 		return err
 	}
-	return p.meta.Drain()
+	if err := s.meta.Drain(); err != nil {
+		return err
+	}
+	s.version, s.owners, s.migw = pm.version, pm.owners, pm.mig
+	if s.shared {
+		// This writer fences too; its own map write must not look like
+		// somebody else's cutover.
+		sn, err := s.fenceSN()
+		if err != nil {
+			return err
+		}
+		s.metaSN = sn
+	}
+	return nil
 }
 
-// fence guards a routed operation on a versioned map. Readers compare
-// the meta slot's seqlock SN against the value cached at the last map
-// read; a cutover's meta apply bumps it, and the reader re-reads the map
-// and re-opens moved partitions before routing. The writer skips the
-// check: under SWMR it is the party performing migrations, so its view
-// is authoritative. Staleness is bounded to the single operation already
-// in flight at the flip — the old area stays valid for a reader that
-// raced past the check, exactly the root-redirect rule.
-func (p *Partitioned) fence() error {
-	if p.version == 0 || p.writer {
+// fenceSN loads the meta slot's seqlock SN, the word the fence watches.
+func (s *Sharded) fenceSN() (uint64, error) { return s.meta.Conn().SlotSN(s.meta.Slot()) }
+
+// fence guards a routed operation on a versioned map: the meta slot's
+// seqlock SN is compared against the value cached at the last map read; a
+// cutover's meta apply bumps it, and the map is re-read and moved shards
+// re-opened before routing. Only an exclusive writer skips the check:
+// under SWMR it is the party performing migrations, so its view is
+// authoritative — a shared writer is one of several. Staleness is bounded
+// to the single operation already in flight at the flip — the old area
+// stays valid for whoever raced past the check, exactly the root-redirect
+// rule.
+func (s *Sharded) fence() error {
+	if s.version == 0 || (s.writer && !s.shared) {
 		return nil
 	}
-	sn, err := p.meta.Conn().SlotSN(p.meta.Slot())
+	sn, err := s.fenceSN()
 	if err != nil {
 		return err
 	}
-	if sn == p.metaSN {
+	if sn == s.metaSN {
 		return nil
 	}
-	return p.refreshMap()
+	return s.refreshMap()
 }
 
 // refreshMap re-reads the mapping table under the meta seqlock and
-// re-opens any partition whose owner changed (the retry-on-moved path).
-// A destination outside the attached connection set surfaces
-// core.ErrMoved: this front-end cannot reach the new owner and the
-// caller must re-attach (serve maps it to StatusMoved with a
+// re-opens any shard whose owner changed (the retry-on-moved path). While
+// the replayer is mid-apply on the meta slot, or the SN moves under the
+// read, it yields and retries like any optimistic read section — never a
+// host-counted cap, which would turn a descheduled replayer into a
+// spurious ErrMoved. A destination outside the attached connection set
+// surfaces core.ErrMoved: this front-end cannot reach the new owner and
+// the caller must re-attach (serve maps it to StatusMoved with a
 // retry-after hint).
-func (p *Partitioned) refreshMap() error {
-	for attempt := 0; attempt < 64; attempt++ {
-		sn1, err := p.meta.Conn().SlotSN(p.meta.Slot())
+func (s *Sharded) refreshMap() error {
+	for ; ; runtime.Gosched() {
+		sn1, err := s.fenceSN()
 		if err != nil {
 			return err
 		}
 		if sn1&1 != 0 {
-			continue // replayer mid-apply on the meta slot
+			continue
 		}
-		pm, err := readPartMap(p.meta)
+		pm, err := readPartMap(s.meta)
 		if err != nil {
 			return err
 		}
-		sn2, err := p.meta.Conn().SlotSN(p.meta.Slot())
+		sn2, err := s.fenceSN()
 		if err != nil {
 			return err
 		}
 		if sn2 != sn1 {
 			continue
 		}
-		if pm.parts != len(p.parts) {
-			return fmt.Errorf("ds: mapping table part count changed (%d -> %d)", len(p.parts), pm.parts)
+		if pm.parts != len(s.shards) {
+			return fmt.Errorf("ds: mapping table shard count changed (%d -> %d)", len(s.shards), pm.parts)
 		}
-		for pi := range p.parts {
-			nc, ng := ownerOf(pm.owners, pi, len(p.conns))
-			oc, og := ownerOf(p.owners, pi, len(p.conns))
+		for i := range s.shards {
+			nc, ng := s.home(pm.owners, i)
+			oc, og := s.home(s.owners, i)
 			if nc == oc && ng == og {
 				continue
 			}
-			if nc >= len(p.conns) {
-				return fmt.Errorf("ds: partition %d re-homed to connection %d, only %d attached: %w",
-					pi, nc, len(p.conns), core.ErrMoved)
+			if nc >= len(s.conns) {
+				return fmt.Errorf("ds: shard %d re-homed to connection %d, only %d attached: %w",
+					i, nc, len(s.conns), core.ErrMoved)
 			}
-			part, err := openKV(p.conns[nc], p.kind, partName(p.name, pi, ng), false, p.opts)
+			sh, err := s.openShard(s.conns[nc], i, ng)
 			if err != nil {
 				return err
 			}
-			p.parts[pi] = part
+			s.shards[i] = sh
 		}
-		p.version, p.owners, p.metaSN = pm.version, pm.owners, sn1
+		s.version, s.owners, s.metaSN = pm.version, pm.owners, sn1
 		return nil
 	}
-	return fmt.Errorf("ds: mapping table kept changing under refresh: %w", core.ErrMoved)
 }
 
-// CreateElastic creates a partitioned structure with a versioned mapping
-// table (version 1, default placement), so readers fence from birth and
-// follow cutovers. Structures created with CreatePartitioned keep the
-// legacy static map and pay no fence verb; they can still migrate, but
-// only readers attached after the upgrade observe the flip.
-func CreateElastic(conns []*core.Conn, kind KVKind, name string, parts int, opts Options) (*Partitioned, error) {
-	if parts > MaxElasticParts {
-		return nil, fmt.Errorf("ds: %d parts exceed the %d-part versioned-map budget", parts, MaxElasticParts)
-	}
-	p, err := CreatePartitioned(conns, kind, name, parts, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.version = 1
-	p.owners = make([]uint16, parts)
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// Version reports the current mapping-table version (0 = static).
+func (s *Sharded) Version() uint64 { return s.version }
 
-// Version reports the current mapping-table version (0 = legacy static).
-func (p *Partitioned) Version() uint64 { return p.version }
-
-// Owner reports which connection index currently owns partition pi —
-// the placement rebalancing planners compare against the ring's
-// assignment.
-func (p *Partitioned) Owner(pi int) int {
-	ci, _ := ownerOf(p.owners, pi, len(p.conns))
+// Owner reports which connection index currently owns shard i — the
+// placement rebalancing planners compare against the ring's assignment.
+func (s *Sharded) Owner(i int) int {
+	ci, _ := s.home(s.owners, i)
 	return ci
 }
 
-// Migrating reports the partition currently being handed off, or -1.
-func (p *Partitioned) Migrating() int {
-	if p.migw == 0 {
+// Migrating reports the shard currently being handed off, or -1.
+func (s *Sharded) Migrating() int {
+	if s.migw == 0 {
 		return -1
 	}
-	pi, _, _, _ := splitMigWord(p.migw)
+	pi, _, _, _ := splitMigWord(s.migw)
 	return pi
+}
+
+// clearMigWord persists the map with no migration in flight.
+func (s *Sharded) clearMigWord() error {
+	return s.installMap(func(pm *partMap) { pm.mig = 0 })
 }
 
 // ResolveMigration settles a migration word left behind by a crashed
@@ -304,27 +320,17 @@ func (p *Partitioned) Migrating() int {
 // orphaned garbage (a retry's generation probe skips past it). A
 // reclaim-phase word finishes: the flip was durable, recovery already
 // landed on the destination, and only the bookkeeping word remained.
-// Either way the partition ends with exactly one owner. Returns -1 for
-// an aborted stream, +1 for a completed flip, 0 when nothing was
-// pending.
-func (p *Partitioned) ResolveMigration() (int, error) {
-	if p.migw == 0 {
+// Either way the shard ends with exactly one owner. Returns -1 for an
+// aborted stream, +1 for a completed flip, 0 when nothing was pending.
+func (s *Sharded) ResolveMigration() (int, error) {
+	if s.migw == 0 {
 		return 0, nil
 	}
-	if !p.writer {
+	if !s.writer {
 		return 0, fmt.Errorf("ds: only the writer resolves migrations")
 	}
-	if !p.meta.IsWriter() {
-		meta, err := p.conns[0].Open(p.name, true)
-		if err != nil {
-			return 0, err
-		}
-		p.meta = meta
-	}
-	_, phase, _, _ := splitMigWord(p.migw)
-	p.migw = 0
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
+	_, phase, _, _ := splitMigWord(s.migw)
+	if err := s.clearMigWord(); err != nil {
 		return 0, err
 	}
 	if phase == migPhaseStream {
@@ -333,37 +339,36 @@ func (p *Partitioned) ResolveMigration() (int, error) {
 	return 1, nil
 }
 
-// Migration is an in-flight handoff of one partition to a new back-end.
+// Migration is an in-flight handoff of one shard to a new back-end.
 type Migration struct {
-	p     *Partitioned
+	s     *Sharded
 	pi    int
 	gen   uint8
 	dstCi int
-	dst   KV
+	dst   shardKV
 	seq   uint64 // migration stream cursor
 	epoch uint64 // map version the cutover will install
 }
 
-// BeginMigration starts handing partition pi off to the attached
-// connection dst: it persists the migration word and creates the
-// destination area under a fresh generation name. Stream the snapshot
-// next; writes keep routing to the source until Cutover.
-func (p *Partitioned) BeginMigration(pi int, dst *core.Conn) (*Migration, error) {
-	if !p.writer {
-		return nil, fmt.Errorf("ds: only the writer migrates partitions")
+// BeginMigration starts handing shard pi off to the attached connection
+// dst: it creates the destination area under a fresh generation name and
+// persists the migration word (upgrading a static map in place). Stream
+// the snapshot next; writes keep routing to the source until Cutover.
+func (s *Sharded) BeginMigration(pi int, dst *core.Conn) (*Migration, error) {
+	if !s.writer {
+		return nil, fmt.Errorf("ds: only the writer migrates shards")
 	}
-	if p.migw != 0 {
-		cur, _, _, _ := splitMigWord(p.migw)
-		return nil, fmt.Errorf("ds: partition %d already migrating", cur)
+	if s.migw != 0 {
+		return nil, fmt.Errorf("ds: shard %d already migrating", s.Migrating())
 	}
-	if pi < 0 || pi >= len(p.parts) {
-		return nil, fmt.Errorf("ds: bad partition %d", pi)
+	if pi < 0 || pi >= len(s.shards) {
+		return nil, fmt.Errorf("ds: bad shard %d", pi)
 	}
-	if len(p.parts) > MaxElasticParts {
-		return nil, fmt.Errorf("ds: %d parts exceed the %d-part versioned-map budget", len(p.parts), MaxElasticParts)
+	if len(s.shards) > MaxElasticParts {
+		return nil, fmt.Errorf("ds: %d shards exceed the %d-shard versioned-map budget", len(s.shards), MaxElasticParts)
 	}
 	dstCi := -1
-	for i, c := range p.conns {
+	for i, c := range s.conns {
 		if c == dst {
 			dstCi = i
 			break
@@ -372,38 +377,18 @@ func (p *Partitioned) BeginMigration(pi int, dst *core.Conn) (*Migration, error)
 	if dstCi < 0 {
 		return nil, fmt.Errorf("ds: destination connection not attached to this structure")
 	}
-	if !p.meta.IsWriter() {
-		// OpenPartitioned opens the meta entry read-only; migration needs
-		// the log path to persist map flips.
-		meta, err := p.conns[0].Open(p.name, true)
-		if err != nil {
-			return nil, err
-		}
-		p.meta = meta
-	}
-	if p.owners == nil {
-		p.owners = make([]uint16, len(p.parts))
-	}
-	if p.version == 0 {
-		p.version = 1 // upgrade a legacy static map in place
-	}
-	_, gen := ownerOf(p.owners, pi, len(p.conns))
-	if p.migw != 0 {
-		if _, _, mg, _ := splitMigWord(p.migw); mg > gen {
-			gen = mg
-		}
-	}
 	// Probe for a free generation: an orphaned destination from a crashed
 	// earlier attempt still holds its name (the naming table has no
 	// delete), so creation collisions just advance the generation.
-	var dstKV KV
+	_, gen := s.home(s.owners, pi)
+	var dstKV shardKV
 	for {
 		if gen == 0xFF {
-			return nil, fmt.Errorf("ds: partition %d exhausted migration generations", pi)
+			return nil, fmt.Errorf("ds: shard %d exhausted migration generations", pi)
 		}
 		gen++
 		var err error
-		dstKV, err = createKV(dst, p.kind, partName(p.name, pi, gen), p.opts)
+		dstKV, err = s.createShard(dst, pi, gen)
 		if err == nil {
 			break
 		}
@@ -411,110 +396,113 @@ func (p *Partitioned) BeginMigration(pi int, dst *core.Conn) (*Migration, error)
 			return nil, err
 		}
 	}
-	p.migw = migWord(pi, migPhaseStream, gen, uint8(dstCi))
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
-		p.migw = 0
+	err := s.installMap(func(pm *partMap) {
+		if pm.version == 0 {
+			pm.version = 1 // upgrade a static map in place
+		}
+		if pm.owners == nil {
+			pm.owners = make([]uint16, pm.parts)
+		}
+		pm.mig = migWord(pi, migPhaseStream, gen, uint8(dstCi))
+	})
+	if err != nil {
 		return nil, err
 	}
-	fe := p.meta.Conn().Frontend()
-	fe.Stats().MigrationsActive.Add(1)
-	return &Migration{p: p, pi: pi, gen: gen, dstCi: dstCi, dst: dstKV, epoch: p.version + 1}, nil
+	s.meta.Conn().Frontend().Stats().MigrationsActive.Add(1)
+	return &Migration{s: s, pi: pi, gen: gen, dstCi: dstCi, dst: dstKV, epoch: s.version + 1}, nil
 }
 
 // Dst exposes the destination instance (tests inspect it directly).
 func (m *Migration) Dst() KV { return m.dst }
 
-// StreamSnapshot re-executes the source partition's full operation
-// history on the destination, then opens the double-log window: from
-// return onward every committed write to this partition goes to both
-// sides, so the snapshot plus the live suffix is complete at cutover.
-// Each history record travels through the migration stream framing —
-// encoded to a MigRecord, run back through the fuzz-hardened decoder,
-// then replayed — so the in-process path exercises byte-identical
-// framing to a networked stream.
+// StreamSnapshot re-executes the source shard's full operation history on
+// the destination, then opens the double-log window: from return onward
+// every committed write to this shard goes to both sides, so the snapshot
+// plus the live suffix is complete at cutover. Each history record
+// travels through the migration stream framing — encoded to a MigRecord,
+// run back through the fuzz-hardened decoder, then replayed — so the
+// in-process path exercises byte-identical framing to a networked stream.
+// A shared destination is replayed into inside its writer-lock bracket,
+// the discipline the shared-lock protocol demands of any stripe writer
+// (the release drains it and persists exact tail hints).
 func (m *Migration) StreamSnapshot() (int, error) {
-	p := m.p
-	src := p.PartHandle(m.pi)
-	if src == nil {
-		return 0, fmt.Errorf("ds: partition %d kind exposes no handle to stream", m.pi)
-	}
+	s := m.s
+	src := s.shards[m.pi]
 	rep, ok := m.dst.(Replayer)
 	if !ok {
 		return 0, fmt.Errorf("ds: destination %T cannot replay the migration stream", m.dst)
 	}
-	if err := p.parts[m.pi].Flush(); err != nil {
+	if err := src.Flush(); err != nil {
 		return 0, err
 	}
-	if err := src.Drain(); err != nil {
+	if err := src.Handle().Drain(); err != nil {
 		return 0, err
 	}
-	ops, err := src.HistoryOps()
+	ops, err := src.Handle().HistoryOps()
 	if err != nil {
 		return 0, err
 	}
-	n, err := streamOps(ops, src.Slot(), m.epoch, &m.seq, logrec.MigSnap, rep)
+	var n int
+	err = s.underLocks([]*core.Handle{m.dst.Handle()}, func() error {
+		var err error
+		if n, err = streamOps(ops, src.Handle().Slot(), m.epoch, &m.seq, logrec.MigSnap, rep); err != nil {
+			return err
+		}
+		return m.dst.Flush()
+	})
 	if err != nil {
 		return n, err
 	}
-	if err := m.dst.Flush(); err != nil {
-		return n, err
-	}
-	// The single writer drives both migration and commits, so no write
-	// can slip in between the history read above and this point: the
-	// double-log window opens exactly at the snapshot boundary and every
-	// operation reaches the destination exactly once — which keeps even
-	// non-idempotent replays (counter adds) correct.
-	p.migPart, p.migDst = m.pi, m.dst
+	// The migrating writer drives both the handoff and its commits (other
+	// shared writers are quiesced), so no write can slip in between the
+	// history read above and this point: the double-log window opens
+	// exactly at the snapshot boundary and every operation reaches the
+	// destination exactly once — which keeps even non-idempotent replays
+	// (counter adds) correct.
+	s.migPart, s.migDst = m.pi, m.dst
 	return n, nil
 }
 
-// Cutover flips ownership of the partition to the destination: both
-// sides are committed and applied, the cutover marker is framed through
-// the stream codec, and the owner word + version land in one logged meta
-// write whose apply is the fence readers trip on. After Cutover the
-// writer itself routes to the destination.
+// Cutover flips ownership of the shard to the destination: both sides are
+// committed and applied, the cutover marker is framed through the stream
+// codec, and the owner word + version land in one logged meta write whose
+// apply is the fence readers trip on. After Cutover the writer itself
+// routes to the destination. A failed Cutover changes nothing — the
+// source stays owner, the window stays open — and may be retried.
 func (m *Migration) Cutover() error {
-	p := m.p
-	if p.migDst != m.dst {
+	s := m.s
+	if s.migDst != m.dst {
 		return fmt.Errorf("ds: cutover before the snapshot stream completed")
 	}
-	if err := p.parts[m.pi].Flush(); err != nil {
-		return err
-	}
-	if src := p.PartHandle(m.pi); src != nil {
-		if err := src.Drain(); err != nil {
+	for _, side := range []shardKV{s.shards[m.pi], m.dst} {
+		if err := side.Flush(); err != nil {
 			return err
 		}
-	}
-	if err := m.dst.Flush(); err != nil {
-		return err
-	}
-	if dh, err := kvHandle(m.dst); err == nil {
-		if err := dh.Drain(); err != nil {
+		if err := side.Handle().Drain(); err != nil {
 			return err
 		}
 	}
 	// Seal the stream: a networked destination acks this marker before
 	// the flip. The in-process path still frames and decodes it so the
 	// wire discipline stays exercised.
-	seal := logrec.MigRecord{Kind: logrec.MigCutover, Slot: p.meta.Slot(), Seq: m.seq, Epoch: m.epoch}
+	seal := logrec.MigRecord{Kind: logrec.MigCutover, Slot: s.meta.Slot(), Seq: m.seq, Epoch: m.epoch}
 	if _, _, err := logrec.DecodeMig(seal.Encode(), m.seq); err != nil {
 		return fmt.Errorf("ds: cutover marker self-check: %w", err)
 	}
-	m.seq++
-	p.owners[m.pi] = ownerWord(m.dstCi, m.gen)
-	p.version++
-	p.migw = migWord(m.pi, migPhaseReclaim, m.gen, uint8(m.dstCi))
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
+	err := s.installMap(func(pm *partMap) {
+		pm.owners[m.pi] = ownerWord(m.dstCi, m.gen)
+		pm.version++
+		pm.mig = migWord(m.pi, migPhaseReclaim, m.gen, uint8(m.dstCi))
+	})
+	if err != nil {
 		return err
 	}
-	p.parts[m.pi] = m.dst
-	p.migPart, p.migDst = -1, nil
-	fe := p.meta.Conn().Frontend()
+	m.seq++
+	s.shards[m.pi] = m.dst
+	s.migPart, s.migDst = -1, nil
+	fe := s.meta.Conn().Frontend()
 	fe.Stats().CutoverEpochs.Add(1)
-	fe.Tracer().Event(trace.KindCutover, p.version)
+	fe.Tracer().Event(trace.KindCutover, s.version)
 	return nil
 }
 
@@ -522,200 +510,39 @@ func (m *Migration) Cutover() error {
 // area stays in the naming table for lazy reclaim — an in-flight reader
 // that raced past the fence may still be walking it.
 func (m *Migration) Finish() error {
-	p := m.p
-	if p.migw == 0 {
-		return nil
-	}
-	p.migw = 0
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
-		return err
-	}
-	p.meta.Conn().Frontend().Stats().MigrationsActive.Add(-1)
-	return nil
+	return m.close(false)
 }
 
-// Abort abandons a handoff before cutover: double-logging stops, the
-// migration word clears, and the destination generation is left as
-// garbage (a later retry picks a fresh generation). Aborting after
-// cutover is not possible — the flip is one durable meta write.
+// Abort abandons a handoff before cutover: the migration word clears,
+// double-logging stops, and the destination generation is left as garbage
+// (a later retry picks a fresh generation). Aborting after cutover is not
+// possible — the flip is one durable meta write.
 func (m *Migration) Abort() error {
-	p := m.p
-	if p.migw == 0 {
+	return m.close(true)
+}
+
+// close retires the migration word; abort says which side of the flip the
+// caller believes it is on.
+func (m *Migration) close(abort bool) error {
+	s := m.s
+	if s.migw == 0 {
 		return nil
 	}
-	if _, phase, _, _ := splitMigWord(p.migw); phase == migPhaseReclaim {
+	if _, phase, _, _ := splitMigWord(s.migw); abort && phase == migPhaseReclaim {
 		return fmt.Errorf("ds: cannot abort after cutover; Finish instead")
 	}
-	p.migPart, p.migDst = -1, nil
-	p.migw = 0
-	pm := p.curMap()
-	if err := p.writeMap(&pm); err != nil {
+	if err := s.clearMigWord(); err != nil {
 		return err
 	}
-	p.meta.Conn().Frontend().Stats().MigrationsActive.Add(-1)
-	return nil
-}
-
-// StripedMigration re-homes an ENTIRE striped structure to another
-// back-end. Unlike partition handoff there is no shared mapping table to
-// flip — each back-end has its own naming space, so the destination is
-// created under the same name over there and the source's meta is
-// stamped with a moved-to word at cutover; later opens of the source are
-// redirected with core.ErrMoved. Stripe locks are shared between
-// front-ends, so the caller must quiesce other writers before Cutover
-// (the standard writer-attach discipline) and they re-attach at the new
-// home afterwards.
-type StripedMigration struct {
-	s   *Striped
-	dst *Striped
-	seq uint64
-}
-
-// BeginMigration creates the same-named destination structure on dst.
-// Stream the snapshot next; writes keep routing to the source (and,
-// after the snapshot lands, to both) until Cutover.
-func (s *Striped) BeginMigration(dst *core.Conn) (*StripedMigration, error) {
-	if s.moved {
-		return nil, fmt.Errorf("ds: striped structure %q: %w", s.name, core.ErrMoved)
-	}
-	if s.mig != nil {
-		return nil, fmt.Errorf("ds: striped structure %q already migrating", s.name)
-	}
-	if dst.BackendID() == s.conn.BackendID() {
-		return nil, fmt.Errorf("ds: striped re-home needs a different back-end")
-	}
-	if !s.meta.IsWriter() {
-		// OpenStriped opens the meta read-only; the cutover stamp needs
-		// the log path.
-		meta, err := s.conn.Open(s.name, true)
-		if err != nil {
-			return nil, err
-		}
-		s.meta = meta
-	}
-	opts := s.opts
-	opts.LockPerOp = false // CreateStriped re-forces it
-	d, err := CreateStriped(dst, s.kind, s.name, len(s.stripes), opts)
-	if err != nil {
-		return nil, err
-	}
-	s.meta.Conn().Frontend().Stats().MigrationsActive.Add(1)
-	return &StripedMigration{s: s, dst: d}, nil
-}
-
-// Dst exposes the destination structure; after Cutover it is the live
-// instance the coordinating front-end keeps using.
-func (m *StripedMigration) Dst() *Striped { return m.dst }
-
-// StreamSnapshot replays every stripe's full history onto its destination
-// stripe through the migration stream framing, then opens the double-log
-// window. Destination replays run inside a writer-lock bracket, the same
-// discipline the shared-lock protocol demands of any stripe writer.
-func (m *StripedMigration) StreamSnapshot() (int, error) {
-	s := m.s
-	total := 0
-	for i, h := range s.hs {
-		if err := s.stripes[i].Flush(); err != nil {
-			return total, err
-		}
-		if err := h.Drain(); err != nil {
-			return total, err
-		}
-		ops, err := h.HistoryOps()
-		if err != nil {
-			return total, err
-		}
-		rep, ok := m.dst.stripes[i].(Replayer)
-		if !ok {
-			return total, fmt.Errorf("ds: stripe %d destination %T cannot replay", i, m.dst.stripes[i])
-		}
-		dh := m.dst.hs[i]
-		if err := dh.WriterLock(); err != nil {
-			return total, err
-		}
-		n, err := streamOps(ops, h.Slot(), s.version+1, &m.seq, logrec.MigSnap, rep)
-		total += n
-		if err != nil {
-			_ = dh.WriterUnlock()
-			return total, err
-		}
-		if err := m.dst.stripes[i].Flush(); err != nil {
-			_ = dh.WriterUnlock()
-			return total, err
-		}
-		// Unlock drains the stripe and persists exact tail hints.
-		if err := dh.WriterUnlock(); err != nil {
-			return total, err
-		}
-	}
-	s.mig = m.dst
-	return total, nil
-}
-
-// Cutover drains both sides and stamps the source meta's moved-to word —
-// one logged write, after which opens of the source redirect and this
-// instance refuses operations with core.ErrMoved. A crash before the
-// stamp leaves the source the sole owner; after it, the destination.
-func (m *StripedMigration) Cutover() error {
-	s := m.s
-	if s.mig != m.dst {
-		return fmt.Errorf("ds: cutover before the snapshot stream completed")
-	}
-	for i, h := range s.hs {
-		if err := s.stripes[i].Flush(); err != nil {
-			return err
-		}
-		if err := h.Drain(); err != nil {
-			return err
-		}
-	}
-	for i, dh := range m.dst.hs {
-		if err := m.dst.stripes[i].Flush(); err != nil {
-			return err
-		}
-		if err := dh.Drain(); err != nil {
-			return err
-		}
-	}
-	seal := logrec.MigRecord{Kind: logrec.MigCutover, Slot: s.meta.Slot(), Seq: m.seq, Epoch: s.version + 1}
-	if _, _, err := logrec.DecodeMig(seal.Encode(), m.seq); err != nil {
-		return fmt.Errorf("ds: cutover marker self-check: %w", err)
-	}
-	m.seq++
-	var b [32]byte
-	binary.LittleEndian.PutUint64(b[:8], uint64(s.kind))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(len(s.stripes)))
-	binary.LittleEndian.PutUint64(b[16:24], s.version+1)
-	binary.LittleEndian.PutUint64(b[24:32], uint64(m.dst.conn.BackendID())+1)
-	if err := s.meta.Write(s.meta.AuxAddr()+backend.AuxUser, b[:]); err != nil {
-		return err
-	}
-	if err := s.meta.Flush(); err != nil {
-		return err
-	}
-	if err := s.meta.Drain(); err != nil {
-		return err
-	}
-	s.version++
-	s.moved, s.mig = true, nil
-	fe := s.meta.Conn().Frontend()
-	fe.Stats().CutoverEpochs.Add(1)
-	fe.Tracer().Event(trace.KindCutover, s.version)
-	return nil
-}
-
-// Finish closes the handoff's accounting. The superseded source areas
-// stay behind the moved-to stamp for lazy reclaim.
-func (m *StripedMigration) Finish() error {
-	m.s.meta.Conn().Frontend().Stats().MigrationsActive.Add(-1)
+	s.migPart, s.migDst = -1, nil
+	s.meta.Conn().Frontend().Stats().MigrationsActive.Add(-1)
 	return nil
 }
 
 // StreamHistory re-executes src's full committed history on dst through
-// the migration stream framing — the generic building block partition
-// handoff and striped re-home share, exported for re-home tooling and
-// the replay-equivalence harness. Returns the op count shipped.
+// the migration stream framing — the building block of shard handoff,
+// exported for re-home tooling and the replay-equivalence harness.
+// Returns the op count shipped.
 func StreamHistory(src *core.Handle, dst Replayer) (int, error) {
 	ops, err := src.HistoryOps()
 	if err != nil {
@@ -733,11 +560,11 @@ func StreamHistory(src *core.Handle, dst Replayer) (int, error) {
 // re-execution (logged first, so the EndOp inside ReplayOp covers it —
 // the same order the public mutators use). Without this the migrated
 // materialization would hold only post-cutover records, so a SECOND
-// migration of the same partition would stream a truncated history and
+// migration of the same shard would stream a truncated history and
 // silently drop everything written before the first hop.
 func streamOps(ops []logrec.OpRecord, slot uint16, epoch uint64, seq *uint64, kind uint8, dst Replayer) (int, error) {
 	var dh *core.Handle
-	if hd, ok := dst.(interface{ Handle() *core.Handle }); ok {
+	if hd, ok := dst.(handled); ok {
 		dh = hd.Handle()
 	}
 	var (

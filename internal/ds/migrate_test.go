@@ -9,6 +9,7 @@ import (
 	"asymnvm/internal/backend"
 	"asymnvm/internal/core"
 	"asymnvm/internal/nvm"
+	"asymnvm/internal/rdma"
 )
 
 // migCell is an N-back-end world with one writer front-end attached to
@@ -150,7 +151,7 @@ func TestElasticMigrationHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if h := p.PartHandle(pi); h == nil || h.Conn() != dst {
+	if h := p.Handle(pi); h == nil || h.Conn() != dst {
 		t.Fatal("writer does not route the migrated partition to the destination")
 	}
 	if err := p.DrainAll(); err != nil {
@@ -176,11 +177,11 @@ func TestElasticMigrationHandoff(t *testing.T) {
 
 	// A fresh opener resolves ownership purely from the persisted map.
 	conns2 := cell.connect(2)
-	p2, err := OpenPartitioned(conns2, "el", false, Options{Create: testCreate, Buckets: 256})
+	p2, err := OpenSharded(conns2, "el", false, Options{Create: testCreate, Buckets: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := p2.PartHandle(pi); h == nil || h.Conn().BackendID() != dst.BackendID() {
+	if h := p2.Handle(pi); h == nil || h.Conn().BackendID() != dst.BackendID() {
 		t.Fatal("fresh opener does not route the migrated partition to the destination")
 	}
 	for k, want := range oracle {
@@ -213,14 +214,14 @@ func TestElasticReaderFenceFollowsCutover(t *testing.T) {
 	}
 
 	rconns := cell.connect(7)
-	rp, err := OpenPartitioned(rconns, "fence", false, Options{Create: testCreate, Buckets: 256})
+	rp, err := OpenSharded(rconns, "fence", false, Options{Create: testCreate, Buckets: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok, err := rp.Get(k); err != nil || !ok || !bytes.Equal(got, val(1)) {
 		t.Fatalf("pre-migration read: ok=%v err=%v got=%q", ok, err, got)
 	}
-	oldConn := rp.PartHandle(pi).Conn()
+	oldConn := rp.Handle(pi).Conn()
 
 	m, err := p.BeginMigration(pi, cell.conns[1])
 	if err != nil {
@@ -247,7 +248,7 @@ func TestElasticReaderFenceFollowsCutover(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got, val(2)) {
 		t.Fatalf("post-cutover read through the fence: ok=%v err=%v got=%q want=%q", ok, err, got, val(2))
 	}
-	newConn := rp.PartHandle(pi).Conn()
+	newConn := rp.Handle(pi).Conn()
 	if newConn == oldConn {
 		t.Fatal("reader fence did not re-open the moved partition")
 	}
@@ -327,18 +328,116 @@ func TestMigrationAbortAndGenerationProbe(t *testing.T) {
 	}
 	// The abandoned generation-1 orphan must still be there (lazy
 	// reclaim), distinct from the live generation-2 destination.
-	if _, err := OpenHashTable(cell.conns[1], partName("probe", pi, 1), false, Options{Create: testCreate, Buckets: 256}); err != nil {
+	if _, err := OpenHashTable(cell.conns[1], shardName("probe", false, pi, 1), false, Options{Create: testCreate, Buckets: 256}); err != nil {
 		t.Fatalf("orphan generation missing: %v", err)
 	}
 }
 
-// TestStripedReHome migrates a whole striped structure to another
-// back-end: history streams per stripe, the double-log window covers
-// live writes, and the cutover stamp redirects later opens of the source
-// with core.ErrMoved.
+// TestCutoverMapWriteFailureLeavesMapUnflipped pins installMap's
+// stage-write-commit order: a partition window on the meta connection
+// longer than the retry budget fails Cutover's one map write, and the
+// handle must then claim nothing that never became durable — owner and
+// version unchanged, the double-log window still open — so a second
+// Cutover succeeds and a fresh reader sees every acked key.
+func TestCutoverMapWriteFailureLeavesMapUnflipped(t *testing.T) {
+	// Meta on back-end 0, the moving shard on 1, its destination on 2:
+	// only the map write touches the meta connection during Cutover.
+	cell := newMigCell(t, 3)
+	const parts, pi = 3, 1
+	opts := Options{Create: testCreate, Buckets: 256}
+	p, err := CreateElastic(cell.conns, KindHashTable, "cutfail", parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := map[uint64][]byte{}
+	put := func(k uint64, i int) {
+		t.Helper()
+		if err := p.Put(k, val(i)); err != nil {
+			t.Fatal(err)
+		}
+		oracle[k] = val(i)
+	}
+	for i := 1; i <= 90; i++ {
+		put(uint64(i), i)
+	}
+	m, err := p.BeginMigration(pi, cell.conns[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.StreamSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	owner, version := p.Owner(pi), p.Version()
+
+	fe := cell.conns[0].Frontend()
+	window := fe.RetryPolicy().MaxAttempts
+	cell.conns[0].Endpoint().SetFault(func(rdma.Op, uint64, int) rdma.Fault {
+		if window == 0 {
+			return rdma.Fault{}
+		}
+		window--
+		return rdma.Fault{Err: rdma.ErrInjected}
+	})
+	if err := m.Cutover(); !errors.Is(err, rdma.ErrInjected) {
+		t.Fatalf("Cutover under a partition longer than the retry budget = %v, want the injected fault", err)
+	}
+	if p.Owner(pi) != owner || p.Version() != version {
+		t.Fatalf("failed cutover claimed a flip: owner %d->%d version %d->%d", owner, p.Owner(pi), version, p.Version())
+	}
+	if p.Migrating() != pi || p.Handle(pi).Conn() != cell.conns[1] {
+		t.Fatal("failed cutover moved the migration word or the writer's route")
+	}
+	before := fe.Stats().DoubleLoggedOps.Load()
+	suf := migKeysFor(pi, parts, 4, 7000)
+	for i, k := range suf {
+		put(k, 6000+i)
+	}
+	if got := fe.Stats().DoubleLoggedOps.Load() - before; got != int64(len(suf)) {
+		t.Fatalf("double-logged %d of %d writes after the failed cutover", got, len(suf))
+	}
+
+	if err := m.Cutover(); err != nil {
+		t.Fatalf("second cutover: %v", err)
+	}
+	if err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Owner(pi) != 2 || p.Version() != version+1 {
+		t.Fatalf("after the retried cutover: owner %d version %d, want 2 and %d", p.Owner(pi), p.Version(), version+1)
+	}
+	if err := p.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := OpenSharded(cell.connect(2), "cutfail", false, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2.Owner(pi) != 2 {
+		t.Fatalf("fresh reader routes shard %d to connection %d, want 2", pi, p2.Owner(pi))
+	}
+	for k, want := range oracle {
+		got, ok, err := p2.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("fresh reader key %d: ok=%v err=%v got=%q want=%q", k, ok, err, got, want)
+		}
+	}
+}
+
+// TestStripedReHome re-homes a striped structure to another back-end one
+// stripe at a time through the single Migration: each stripe's history
+// streams, the double-log window covers live writes, and the cutover
+// flips that stripe's owner word. Afterwards an attachment that can reach
+// only the old home is redirected with core.ErrMoved, and a fresh
+// front-end attached to both finds every committed write at the new one.
 func TestStripedReHome(t *testing.T) {
 	cell := newMigCell(t, 2)
-	s, err := CreateStriped(cell.conns[0], KindHashTable, "sh", 4, Options{Create: testCreate, Buckets: 256})
+	opts := Options{Create: testCreate, Buckets: 256}
+	if _, err := CreateStriped(cell.conns[0], KindHashTable, "sh", 4, opts); err != nil {
+		t.Fatal(err)
+	}
+	// The migrating writer attaches over every back-end a stripe may move
+	// to (the creator saw only the home).
+	s, err := OpenSharded(cell.conns, "sh", true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,61 +449,70 @@ func TestStripedReHome(t *testing.T) {
 		}
 		oracle[k] = val(i)
 	}
-
-	m, err := s.BeginMigration(cell.conns[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := m.StreamSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("snapshot streamed zero ops")
-	}
-	// Live suffix, double-logged to both homes.
-	for i := 1; i <= 20; i++ {
-		k := uint64(9_000_000 + i)
-		if err := s.Put(k, val(7000+i)); err != nil {
+	st := cell.conns[0].Frontend().Stats()
+	for si := 0; si < s.Shards(); si++ {
+		m, err := s.BeginMigration(si, cell.conns[1])
+		if err != nil {
 			t.Fatal(err)
 		}
-		oracle[k] = val(7000 + i)
-	}
-	if err := m.Cutover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The superseded source refuses operations and redirects fresh opens.
-	if _, _, err := s.Get(1); !errors.Is(err, core.ErrMoved) {
-		t.Fatalf("moved source Get error = %v, want ErrMoved", err)
-	}
-	if err := s.Put(1, val(1)); !errors.Is(err, core.ErrMoved) {
-		t.Fatalf("moved source Put error = %v, want ErrMoved", err)
-	}
-	if _, err := OpenStriped(cell.conns[0], "sh", false, Options{Create: testCreate, Buckets: 256}); !errors.Is(err, core.ErrMoved) {
-		t.Fatalf("open of moved source = %v, want ErrMoved", err)
-	}
-
-	// The destination is the live instance, with every committed write.
-	d := m.Dst()
-	for k, want := range oracle {
-		got, ok, err := d.Get(k)
-		if err != nil || !ok || !bytes.Equal(got, want) {
-			t.Fatalf("destination key %d: ok=%v err=%v got=%q want=%q", k, ok, err, got, want)
+		n, err := m.StreamSnapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if n == 0 {
+			t.Fatalf("stripe %d snapshot streamed zero ops", si)
+		}
+		// Live suffix: the keys landing on the moving stripe are
+		// double-logged to both homes.
+		before := st.DoubleLoggedOps.Load()
+		for i := 1; i <= 20; i++ {
+			k := uint64(9_000_000 + 100*si + i)
+			if err := s.Put(k, val(7000+i)); err != nil {
+				t.Fatal(err)
+			}
+			oracle[k] = val(7000 + i)
+		}
+		if st.DoubleLoggedOps.Load() == before {
+			t.Fatalf("stripe %d: no live write was double-logged", si)
+		}
+		if err := m.Cutover(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Owner(si) != 1 || s.Handle(si).Conn() != cell.conns[1] {
+			t.Fatalf("stripe %d did not land on the destination", si)
+		}
+	}
+	// The migrating writer routes to the new home, with every committed
+	// write.
+	for k, want := range oracle {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("re-homed key %d: ok=%v err=%v got=%q want=%q", k, ok, err, got, want)
+		}
+	}
+	// An attachment that can reach only the old home is redirected.
+	if _, err := OpenSharded(cell.conns[:1], "sh", false, opts); !errors.Is(err, core.ErrMoved) {
+		t.Fatalf("open with only the old home attached = %v, want ErrMoved", err)
 	}
 	// A fresh front-end finds it under the same name at the new home.
 	conns2 := cell.connect(3)
-	d2, err := OpenStriped(conns2[1], "sh", false, Options{Create: testCreate, Buckets: 256})
+	d2, err := OpenSharded(conns2, "sh", false, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := uint64(2654435761)
-	if got, ok, err := d2.Get(probe); err != nil || !ok || !bytes.Equal(got, oracle[probe]) {
-		t.Fatalf("re-homed open get: ok=%v err=%v got=%q", ok, err, got)
+	for si := 0; si < d2.Shards(); si++ {
+		if d2.Handle(si).Conn().BackendID() != 1 {
+			t.Fatalf("fresh reader opened stripe %d at the old home", si)
+		}
+	}
+	for k, want := range oracle {
+		got, ok, err := d2.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("re-homed open get %d: ok=%v err=%v got=%q", k, ok, err, got)
+		}
 	}
 }
 

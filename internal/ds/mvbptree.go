@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"fmt"
-
 	"asymnvm/internal/backend"
 	"asymnvm/internal/core"
 	"asymnvm/internal/logrec"
@@ -16,11 +14,8 @@ import (
 // maintained across versions (point queries only), as in append-only
 // B-Trees where the chain is rebuilt by compaction.
 type MVBPTree struct {
-	h      *core.Handle
-	w      writerSession
-	cap    int
-	pol    *levelPolicy
-	writer bool
+	kvBase
+	pol *levelPolicy
 }
 
 // CreateMVBPTree registers a new multi-version B+Tree.
@@ -68,8 +63,7 @@ func OpenMVBPTree(c *core.Conn, name string, writer bool, opts Options) (*MVBPTr
 
 func newMVBPTree(h *core.Handle, opts Options, writer bool) (*MVBPTree, error) {
 	h.MultiVersion(true)
-	t := &MVBPTree{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap, pol: newLevelPolicy(), writer: writer}
+	t := &MVBPTree{kvBase: newKVBase(h, opts, writer), pol: newLevelPolicy()}
 	if opts.FlatCache {
 		t.pol = newFlatPolicy()
 	}
@@ -80,9 +74,6 @@ func newMVBPTree(h *core.Handle, opts Options, writer bool) (*MVBPTree, error) {
 	}
 	return t, nil
 }
-
-// Handle exposes the underlying framework handle.
-func (t *MVBPTree) Handle() *core.Handle { return t.h }
 
 func (t *MVBPTree) readNode(addr uint64, depth int) (*bptNodeT, error) {
 	buf, err := t.h.Read(addr, bptNode, t.pol.cacheable(depth))
@@ -102,7 +93,7 @@ func (t *MVBPTree) newNode(n *bptNodeT) (uint64, error) {
 }
 
 func (t *MVBPTree) writeBlob(val []byte) (uint64, error) {
-	bp := BPTree{h: t.h, cap: t.cap}
+	bp := BPTree{kvBase: t.kvBase}
 	addr, err := t.h.Alloc(t.cap + 4)
 	if err != nil {
 		return 0, err
@@ -258,7 +249,7 @@ func (t *MVBPTree) Get(key uint64) ([]byte, bool, error) {
 	}
 	addr := root
 	depth := 0
-	bp := BPTree{h: t.h, cap: t.cap, pol: t.pol}
+	bp := BPTree{kvBase: t.kvBase, pol: t.pol}
 	for {
 		n, err := t.readNode(addr, depth)
 		if err != nil {
@@ -283,41 +274,9 @@ func (t *MVBPTree) Get(key uint64) ([]byte, bool, error) {
 	}
 }
 
-// Flush flushes the batch buffers.
-func (t *MVBPTree) Flush() error { return t.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (t *MVBPTree) Drain() error {
-	if err := t.h.Flush(); err != nil {
-		return err
-	}
-	return t.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (t *MVBPTree) Close() error {
-	if !t.writer {
-		return nil
-	}
-	if err := t.Drain(); err != nil {
-		return err
-	}
-	return t.h.WriterUnlock()
-}
+var mvbptreeReplay = replayTable[*MVBPTree]{put: (*MVBPTree).put}
 
 // ReplayOp re-executes one pending op-log record.
 func (t *MVBPTree) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := t.put(key, val); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	default:
-		return fmt.Errorf("ds: mv-b+tree cannot replay op %d", rec.OpType)
-	}
+	return replayOp(t, "mv-b+tree", rec, &mvbptreeReplay)
 }

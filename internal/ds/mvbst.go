@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"fmt"
-
 	"asymnvm/internal/backend"
 	"asymnvm/internal/core"
 	"asymnvm/internal/logrec"
@@ -15,11 +13,8 @@ import (
 // and old versions are reclaimed lazily, well after any reader that could
 // still hold them has finished.
 type MVBST struct {
-	h      *core.Handle
-	w      writerSession
-	cap    int
-	pol    *levelPolicy
-	writer bool
+	kvBase
+	pol *levelPolicy
 }
 
 func (t *MVBST) nodeSize() int { return bstHdr + t.cap }
@@ -55,8 +50,7 @@ func OpenMVBST(c *core.Conn, name string, writer bool, opts Options) (*MVBST, er
 
 func newMVBST(h *core.Handle, opts Options, writer bool) (*MVBST, error) {
 	h.MultiVersion(true)
-	t := &MVBST{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp},
-		cap: opts.ValueCap, pol: newLevelPolicy(), writer: writer}
+	t := &MVBST{kvBase: newKVBase(h, opts, writer), pol: newLevelPolicy()}
 	if opts.FlatCache {
 		t.pol = newFlatPolicy()
 	}
@@ -68,17 +62,14 @@ func newMVBST(h *core.Handle, opts Options, writer bool) (*MVBST, error) {
 	return t, nil
 }
 
-// Handle exposes the underlying framework handle.
-func (t *MVBST) Handle() *core.Handle { return t.h }
-
 // encode/decode share the BST node layout.
 func (t *MVBST) encodeNode(key, left, right uint64, val []byte) []byte {
-	b := BST{cap: t.cap}
+	b := BST{kvBase: kvBase{cap: t.cap}}
 	return b.encodeNode(key, left, right, val)
 }
 
 func (t *MVBST) decodeNode(buf []byte) (bstNode, error) {
-	b := BST{cap: t.cap}
+	b := BST{kvBase: kvBase{cap: t.cap}}
 	return b.decodeNode(buf)
 }
 
@@ -222,41 +213,7 @@ func (t *MVBST) Get(key uint64) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Flush flushes the batch buffers.
-func (t *MVBST) Flush() error { return t.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (t *MVBST) Drain() error {
-	if err := t.h.Flush(); err != nil {
-		return err
-	}
-	return t.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (t *MVBST) Close() error {
-	if !t.writer {
-		return nil
-	}
-	if err := t.Drain(); err != nil {
-		return err
-	}
-	return t.h.WriterUnlock()
-}
+var mvbstReplay = replayTable[*MVBST]{put: (*MVBST).put}
 
 // ReplayOp re-executes one pending op-log record.
-func (t *MVBST) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := t.put(key, val); err != nil {
-			return err
-		}
-		return t.h.EndOp()
-	default:
-		return fmt.Errorf("ds: mv-bst cannot replay op %d", rec.OpType)
-	}
-}
+func (t *MVBST) ReplayOp(rec logrec.OpRecord) error { return replayOp(t, "mv-bst", rec, &mvbstReplay) }

@@ -237,39 +237,30 @@ func (q *Queue) Close() error {
 	return q.h.WriterUnlock()
 }
 
+var queueReplay = replayTable[*Queue]{push: (*Queue).materializeEnqueue, pop: (*Queue).replayPop}
+
 // ReplayOp re-executes one pending op-log record.
-func (q *Queue) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPush:
-		_, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := q.materializeEnqueue(val); err != nil {
-			return err
-		}
-		return q.h.EndOp()
-	case OpPop:
-		if q.head == 0 {
-			return nil
-		}
-		buf, err := q.h.Read(q.head, q.nodeSize(), false)
-		if err != nil {
-			return err
-		}
-		next := binary.LittleEndian.Uint64(buf)
-		if err := q.h.WriteRoot(next); err != nil {
-			return err
-		}
-		q.head = next
-		q.size--
-		if q.head == 0 {
-			if err := q.writeTail(0); err != nil {
-				return err
-			}
-		}
-		return q.h.EndOp()
-	default:
-		return fmt.Errorf("ds: queue cannot replay op %d", rec.OpType)
+func (q *Queue) ReplayOp(rec logrec.OpRecord) error { return replayOp(q, "queue", rec, &queueReplay) }
+
+// replayPop unlinks the head node; false on an empty queue.
+func (q *Queue) replayPop() (bool, error) {
+	if q.head == 0 {
+		return false, nil
 	}
+	buf, err := q.h.Read(q.head, q.nodeSize(), false)
+	if err != nil {
+		return false, err
+	}
+	next := binary.LittleEndian.Uint64(buf)
+	if err := q.h.WriteRoot(next); err != nil {
+		return false, err
+	}
+	q.head = next
+	q.size--
+	if q.head == 0 {
+		if err := q.writeTail(0); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }

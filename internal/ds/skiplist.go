@@ -31,11 +31,8 @@ const (
 // SkipList is a persistent ordered map. The root pointer is the sentinel
 // head node (full height, no key).
 type SkipList struct {
-	h      *core.Handle
-	w      writerSession
-	cap    int
-	head   uint64
-	writer bool
+	kvBase
+	head uint64
 }
 
 func (s *SkipList) nodeSize() int { return slHdr + SkipListMaxLevel*8 + s.cap }
@@ -47,7 +44,7 @@ func CreateSkipList(c *core.Conn, name string, opts Options) (*SkipList, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &SkipList{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp}, cap: opts.ValueCap, writer: true}
+	s := &SkipList{kvBase: newKVBase(h, opts, true)}
 	// Sentinel head: full height, all next pointers nil. Initialized
 	// through the log path so mirrors replicate it.
 	head, err := c.Calloc(uint64(s.nodeSize()))
@@ -81,7 +78,7 @@ func OpenSkipList(c *core.Conn, name string, writer bool, opts Options) (*SkipLi
 	if err != nil {
 		return nil, err
 	}
-	s := &SkipList{h: h, w: writerSession{h: h, lockPerOp: opts.LockPerOp}, cap: opts.ValueCap, writer: writer}
+	s := &SkipList{kvBase: newKVBase(h, opts, writer)}
 	head, err := h.ReadRoot()
 	if err != nil {
 		return nil, err
@@ -99,9 +96,6 @@ func OpenSkipList(c *core.Conn, name string, writer bool, opts Options) (*SkipLi
 	}
 	return s, nil
 }
-
-// Handle exposes the underlying framework handle.
-func (s *SkipList) Handle() *core.Handle { return s.h }
 
 type slNode struct {
 	key   uint64
@@ -287,41 +281,9 @@ func (s *SkipList) Get(key uint64) ([]byte, bool, error) {
 	return found.val, true, nil
 }
 
-// Flush flushes the batch buffers.
-func (s *SkipList) Flush() error { return s.h.Flush() }
-
-// Drain flushes and waits for replay.
-func (s *SkipList) Drain() error {
-	if err := s.h.Flush(); err != nil {
-		return err
-	}
-	return s.h.Drain()
-}
-
-// Close drains and releases the writer lock.
-func (s *SkipList) Close() error {
-	if !s.writer {
-		return nil
-	}
-	if err := s.Drain(); err != nil {
-		return err
-	}
-	return s.h.WriterUnlock()
-}
+var skipListReplay = replayTable[*SkipList]{put: (*SkipList).put}
 
 // ReplayOp re-executes one pending op-log record.
 func (s *SkipList) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPut:
-		key, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := s.put(key, val); err != nil {
-			return err
-		}
-		return s.h.EndOp()
-	default:
-		return fmt.Errorf("ds: skiplist cannot replay op %d", rec.OpType)
-	}
+	return replayOp(s, "skiplist", rec, &skipListReplay)
 }

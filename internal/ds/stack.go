@@ -229,39 +229,30 @@ func (s *Stack) Close() error {
 	return s.h.WriterUnlock()
 }
 
+var stackReplay = replayTable[*Stack]{push: (*Stack).materializePush, pop: (*Stack).replayPop}
+
 // ReplayOp re-executes one op-log record (recovery path). The stack's
 // state already reflects every *applied* transaction; pending records are
 // re-run in order.
-func (s *Stack) ReplayOp(rec logrec.OpRecord) error {
-	switch rec.OpType &^ logrec.OpTxFlag {
-	case OpPush:
-		_, val, err := splitKV(rec.Params)
-		if err != nil {
-			return err
-		}
-		if err := s.materializePush(val); err != nil {
-			return err
-		}
-		return s.h.EndOp()
-	case OpPop:
-		if s.top == 0 {
-			return nil
-		}
-		buf, err := s.h.Read(s.top, s.nodeSize(), false)
-		if err != nil {
-			return err
-		}
-		next, _, err := s.decodeNode(buf)
-		if err != nil {
-			return err
-		}
-		if err := s.h.WriteRoot(next); err != nil {
-			return err
-		}
-		s.top = next
-		s.size--
-		return s.h.EndOp()
-	default:
-		return fmt.Errorf("ds: stack cannot replay op %d", rec.OpType)
+func (s *Stack) ReplayOp(rec logrec.OpRecord) error { return replayOp(s, "stack", rec, &stackReplay) }
+
+// replayPop unlinks the top node; false on an empty stack.
+func (s *Stack) replayPop() (bool, error) {
+	if s.top == 0 {
+		return false, nil
 	}
+	buf, err := s.h.Read(s.top, s.nodeSize(), false)
+	if err != nil {
+		return false, err
+	}
+	next, _, err := s.decodeNode(buf)
+	if err != nil {
+		return false, err
+	}
+	if err := s.h.WriteRoot(next); err != nil {
+		return false, err
+	}
+	s.top = next
+	s.size--
+	return true, nil
 }

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -22,8 +23,8 @@ func TestStripedHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Stripes() != 4 {
-		t.Fatalf("stripes = %d, want 4", sa.Stripes())
+	if sa.Shards() != 4 {
+		t.Fatalf("stripes = %d, want 4", sa.Shards())
 	}
 	const keys = 64
 	for k := uint64(0); k < keys/2; k++ {
@@ -33,7 +34,7 @@ func TestStripedHandoff(t *testing.T) {
 	}
 
 	cb := r.conn(2, core.ModeRC(1<<20))
-	sb, err := OpenStriped(cb, "str", true, Options{Create: testCreate, Buckets: 1 << 6})
+	sb, err := OpenSharded([]*core.Conn{cb}, "str", true, Options{Create: testCreate, Buckets: 1 << 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestStripedHandoff(t *testing.T) {
 		}
 	}
 
-	check := func(tag string, s *Striped) {
+	check := func(tag string, s *Sharded) {
 		t.Helper()
 		for k := uint64(0); k < keys; k++ {
 			want := val(int(k))
@@ -67,7 +68,7 @@ func TestStripedHandoff(t *testing.T) {
 		}
 	}
 	rd := r.conn(3, core.ModeRC(1<<20))
-	sr, err := OpenStriped(rd, "str", false, Options{Create: testCreate, Buckets: 1 << 6})
+	sr, err := OpenSharded([]*core.Conn{rd}, "str", false, Options{Create: testCreate, Buckets: 1 << 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +113,119 @@ func TestStripedPutMultiCrossStripe(t *testing.T) {
 	}
 }
 
+// TestStripedGetMultiMatchesGet pins the lock-step fan-out walk on the
+// shared discipline: a reader's cross-stripe GetMulti returns exactly what
+// per-key Gets return (and what was written), while a second front-end
+// keeps committing to the other stripes of the same structure.
+func TestStripedGetMultiMatchesGet(t *testing.T) {
+	r := newRig(t)
+	opts := Options{Create: testCreate, Buckets: 1 << 6}
+	sa, err := CreateStriped(r.conn(1, core.ModeRC(1<<20)), KindHashTable, "smg", 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Quiet keys live on stripes 0-1, busy keys on stripes 2-3.
+	var quiet, busy []uint64
+	for k := uint64(1); len(quiet) < 24 || len(busy) < 24; k++ {
+		if sa.ShardOf(k) < 2 {
+			quiet = append(quiet, k)
+		} else {
+			busy = append(busy, k)
+		}
+	}
+	for _, k := range quiet[:20] { // the rest stay missing
+		if err := sa.Put(k, val(int(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sb, err := OpenSharded([]*core.Conn{r.conn(2, core.ModeRC(1<<20))}, "smg", true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSharded([]*core.Conn{r.conn(3, core.ModeRC(1<<20))}, "smg", false, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 150; i++ {
+			if err := sb.Put(busy[i%len(busy)], val(5000+i)); err != nil {
+				t.Errorf("concurrent writer: %v", err)
+				return
+			}
+		}
+	}()
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false // one more pass after the writer finished
+		default:
+		}
+		for _, s := range []*Sharded{sr, sa} {
+			vals, found, err := s.GetMulti(quiet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range quiet {
+				gv, gf, err := s.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if found[i] != gf || !bytes.Equal(vals[i], gv) {
+					t.Fatalf("key %d: GetMulti (%q,%v) != Get (%q,%v)", k, vals[i], found[i], gv, gf)
+				}
+				if want := i < 20; found[i] != want || (want && !bytes.Equal(vals[i], val(int(k)))) {
+					t.Fatalf("key %d: GetMulti (%q,%v), written=%v", k, vals[i], found[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestStripedTxPutMulti checks the one discipline branch under the 2PC
+// surface: a cross-stripe transaction enrolls the involved stripes inside
+// their ordered shared-lock set, and a fresh reader sees the whole batch.
+func TestStripedTxPutMulti(t *testing.T) {
+	r := newRig(t)
+	c := r.conn(1, core.ModeRC(1<<20))
+	opts := Options{Create: testCreate, Buckets: 1 << 6}
+	s, err := CreateStriped(c, KindHashTable, "stx", 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := core.NewTxCoordinator(c, "stx.txc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	if !s.Spans(keys) {
+		t.Fatal("probe keys must span stripes")
+	}
+	vals := make([][]byte, len(keys))
+	for round := 0; round < 3; round++ {
+		for i := range vals {
+			vals[i] = val(100*round + i)
+		}
+		if err := s.TxPutMulti(tc, keys, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenSharded([]*core.Conn{r.conn(2, core.ModeRC(1<<20))}, "stx", false, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		got, ok, err := rd.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("key %d = %q found=%v err=%v, want %q", k, got, ok, err, vals[i])
+		}
+	}
+}
+
 // TestStripedOrderedAcquisitionStress is the -race contract test for
 // deadlock-free ordered stripe acquisition: several writer front-ends
 // issue randomized multi-stripe read-modify-write batches over
@@ -132,10 +246,10 @@ func TestStripedOrderedAcquisitionStress(t *testing.T) {
 	}
 	// Attach every writer before any operation starts (writer attach
 	// requires a quiescent structure).
-	ss := make([]*Striped, writers)
+	ss := make([]*Sharded, writers)
 	for w := 0; w < writers; w++ {
 		c := r.conn(uint16(2+w), core.ModeRC(1<<20))
-		s, err := OpenStriped(c, "stress", true, Options{Create: testCreate, Buckets: 1 << 6})
+		s, err := OpenSharded([]*core.Conn{c}, "stress", true, Options{Create: testCreate, Buckets: 1 << 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +298,7 @@ func TestStripedOrderedAcquisitionStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := r.conn(9, core.ModeRC(1<<20))
-	sr, err := OpenStriped(rd, "stress", false, Options{Create: testCreate, Buckets: 1 << 6})
+	sr, err := OpenSharded([]*core.Conn{rd}, "stress", false, Options{Create: testCreate, Buckets: 1 << 6})
 	if err != nil {
 		t.Fatal(err)
 	}

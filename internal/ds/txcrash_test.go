@@ -36,7 +36,7 @@ type txCell struct {
 	bks     [2]*backend.Backend
 	stopped [2]bool
 	conns   []*core.Conn
-	p       *Partitioned
+	p       *Sharded
 	tc      *core.TxCoordinator
 	kA, kB  uint64 // kA owned by partition 0 (node 0), kB by partition 1 (node 1)
 }
@@ -80,7 +80,7 @@ func newTxCell(t *testing.T) *txCell {
 	// Pick one key per partition; partition i lives on node i.
 	cell.kA, cell.kB = 0, 0
 	for k := uint64(1); cell.kA == 0 || cell.kB == 0; k++ {
-		switch p.PartIndex(k) {
+		switch p.ShardOf(k) {
 		case 0:
 			if cell.kA == 0 {
 				cell.kA = k
@@ -222,13 +222,13 @@ func runTxCrashPoint(t *testing.T, ep, k int) {
 	if err != nil {
 		t.Fatalf("crash point %d/%d: coordinator reopen: %v", ep, k, err)
 	}
-	p2, err := OpenPartitioned(conns2, "txm", true, crashOpts())
+	p2, err := OpenSharded(conns2, "txm", true, crashOpts())
 	if err != nil {
 		t.Fatalf("crash point %d/%d: reopen: %v", ep, k, err)
 	}
 	// Which participants still hold durable unresolved prepares, before
 	// consultation settles them.
-	handles := p2.TxHandles()
+	handles := p2.Handles()
 	inDoubt := make([]int, len(handles))
 	for i, h := range handles {
 		inDoubt[i] = len(h.InDoubtPrepares())
@@ -349,7 +349,7 @@ func TestTxCrashCommitDurableBeforeApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p2, err := OpenPartitioned(conns2, "txm", true, crashOpts())
+	p2, err := OpenSharded(conns2, "txm", true, crashOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

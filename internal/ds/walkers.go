@@ -10,7 +10,7 @@ import (
 // sequence of fetch rounds — "read these addresses at this unit size" —
 // so the same descent logic can run either against a single back-end
 // (runWalker, via Handle.ReadMulti) or interleaved with other partitions'
-// walkers inside a cross-backend fan-out window (Partitioned.GetMulti,
+// walkers inside a cross-backend fan-out window (Sharded.GetMulti,
 // via Handle.PostReadMulti). The rounds replicate the exact read sequence
 // of the structure's own batched or sequential lookup, so caching and
 // virtual-clock charges stay identical between the two drivers.
@@ -54,7 +54,7 @@ type handled interface {
 	Handle() *core.Handle
 }
 
-// multiKV is a KV kind with a native batched lookup that Partitioned can
+// multiKV is a KV kind with a native batched lookup that Sharded can
 // interleave across back-ends.
 type multiKV interface {
 	KV

@@ -16,7 +16,7 @@ import (
 // serial walk. The transaction mix, key scheme and balance arithmetic are
 // identical to SmallBank.
 type PartitionedSmallBank struct {
-	p        *ds.Partitioned
+	p        *ds.Sharded
 	tc       *core.TxCoordinator
 	accounts uint64
 	counts   [sbTxKinds]int64
@@ -63,7 +63,7 @@ func NewPartitionedSmallBank(conns []*core.Conn, name string, n uint64, parts in
 
 // OpenPartitionedSmallBank attaches to an existing partitioned bank.
 func OpenPartitionedSmallBank(conns []*core.Conn, name string, n uint64, writer bool, opts ds.Options) (*PartitionedSmallBank, error) {
-	p, err := ds.OpenPartitioned(conns, name, writer, opts)
+	p, err := ds.OpenSharded(conns, name, writer, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -113,23 +113,11 @@ func (b *PartitionedSmallBank) TxRecover(tc *core.TxCoordinator) (committed, abo
 	return b.p.TxRecover(tc)
 }
 
-// spansPartitions reports whether the keys hash to more than one
-// partition.
-func (b *PartitionedSmallBank) spansPartitions(keys []uint64) bool {
-	pi := b.p.PartIndex(keys[0])
-	for _, k := range keys[1:] {
-		if b.p.PartIndex(k) != pi {
-			return true
-		}
-	}
-	return false
-}
-
 // setBalsTx is setBals for the transfer transactions: when a coordinator
 // is armed and the rows span partitions, the updates are committed
 // atomically under one cross-shard transaction.
 func (b *PartitionedSmallBank) setBalsTx(keys []uint64, vals []int64) error {
-	if b.tc == nil || !b.spansPartitions(keys) {
+	if b.tc == nil || !b.p.Spans(keys) {
 		return b.setBals(keys, vals)
 	}
 	bufs := make([][]byte, len(keys))
@@ -259,7 +247,7 @@ func (b *PartitionedSmallBank) Counts() [6]int64 {
 }
 
 // Table exposes the underlying partitioned table.
-func (b *PartitionedSmallBank) Table() *ds.Partitioned { return b.p }
+func (b *PartitionedSmallBank) Table() *ds.Sharded { return b.p }
 
 // Flush commits every partition's batched writes in one fan-out window.
 func (b *PartitionedSmallBank) Flush() error { return b.p.FlushAll() }

@@ -94,7 +94,7 @@ func TestPartitionedBankCrossShard2PC(t *testing.T) {
 		t.Fatalf("prepares %d < commits %d", st.TxPrepares.Load(), st.TxCrossCommits.Load())
 	}
 	// No transaction should be left in doubt after a clean run.
-	for _, h := range bank.Table().TxHandles() {
+	for _, h := range bank.Table().Handles() {
 		if n := len(h.InDoubtPrepares()); n != 0 {
 			t.Fatalf("%d prepares left in doubt", n)
 		}
