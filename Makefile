@@ -73,10 +73,12 @@ chaos-race: build
 # report line that follows host scheduling instead of the seed shows up
 # as a diff at some GOMAXPROCS; -count also proves finished soaks are
 # released (five soak pairs per test fit in memory only if they are).
+# internal/ds adds the skip list's read path: fabric reads, evictions and
+# the adaptive admission height of one seed, run twice.
 determinism:
-	GOMAXPROCS=1 $(GO) test ./internal/chaos -run Deterministic -count=5
-	GOMAXPROCS=2 $(GO) test ./internal/chaos -run Deterministic -count=5
-	GOMAXPROCS=8 $(GO) test ./internal/chaos -run Deterministic -count=5
+	GOMAXPROCS=1 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
+	GOMAXPROCS=2 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
+	GOMAXPROCS=8 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
 
 # Cross-package statement coverage with a hard floor. -coverpkg=./... so
 # packages exercised only through other packages' tests (trace, stats,

@@ -32,6 +32,7 @@ const HybridSetSize = 32
 type cacheEntry struct {
 	addr  uint64
 	data  []byte
+	unit  int    // size of the unit data images; len(data) < unit = prefix image
 	tag   uint32 // owning structure (for per-structure invalidation)
 	epoch uint64 // seqlock SN the bytes were read under; ^0 = always valid
 	use   uint64 // logical use counter for hybrid sampling
@@ -46,8 +47,10 @@ const EpochAlways = ^uint64(0)
 
 // Cache is the front-end DRAM object cache. Entries are whole structure
 // nodes ("pages" whose size is set per structure, §4.4), keyed by global
-// NVM address. Owned by a single front-end actor; not safe for concurrent
-// use.
+// NVM address — or, for a structure whose traversals need only the head of
+// a node, a prefix image of it (PutPrefix): the leading bytes of the unit,
+// accounted at their own length. Owned by a single front-end actor; not
+// safe for concurrent use.
 type Cache struct {
 	capacity int64
 	used     int64
@@ -82,6 +85,9 @@ func NewCache(capacity int64, policy Policy, st *stats.Stats) *Cache {
 // Len reports the number of cached entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
+// Capacity reports the byte budget.
+func (c *Cache) Capacity() int64 { return c.capacity }
+
 // Used reports the cached bytes.
 func (c *Cache) Used() int64 { return c.used }
 
@@ -92,24 +98,47 @@ func (c *Cache) Used() int64 { return c.used }
 // routes around the cache (cold tree levels, §8.3) are direct remote
 // reads, not cache misses.
 func (c *Cache) Get(addr uint64, epoch uint64, countMiss bool) ([]byte, bool) {
+	e := c.lookup(addr, epoch, countMiss)
+	if e == nil {
+		return nil, false
+	}
+	return e.data, true
+}
+
+// GetUnit is Get for a reader of n-byte units: the first n bytes of an
+// image that covers them, or the whole of a prefix image of an n-byte unit
+// (a short hit: the caller gets fewer than n bytes). An entry cached under
+// a different, smaller unit size is dropped and misses.
+func (c *Cache) GetUnit(addr uint64, n int, epoch uint64, countMiss bool) ([]byte, bool) {
+	e := c.lookup(addr, epoch, countMiss)
+	switch {
+	case e == nil:
+		return nil, false
+	case len(e.data) >= n:
+		return e.data[:n], true
+	case e.unit == n:
+		return e.data, true
+	}
+	c.remove(e)
+	return nil, false
+}
+
+func (c *Cache) lookup(addr uint64, epoch uint64, countMiss bool) *cacheEntry {
 	e, ok := c.entries[addr]
+	if ok && e.epoch != EpochAlways && e.epoch != epoch {
+		// Stale under the seqlock: drop so the refill replaces it.
+		c.remove(e)
+		ok = false
+	}
 	if !ok {
 		if countMiss {
 			c.st.CacheMiss.Add(1)
 		}
-		return nil, false
-	}
-	if e.epoch != EpochAlways && e.epoch != epoch {
-		// Stale under the seqlock: drop so the refill replaces it.
-		c.remove(e)
-		if countMiss {
-			c.st.CacheMiss.Add(1)
-		}
-		return nil, false
+		return nil
 	}
 	c.touch(e)
 	c.st.CacheHit.Add(1)
-	return e.data, true
+	return e
 }
 
 // Contains reports presence without counting a hit or miss.
@@ -118,14 +147,22 @@ func (c *Cache) Contains(addr uint64) bool {
 	return ok
 }
 
-// Put inserts (or replaces) the bytes for addr.
+// Put inserts (or replaces) the bytes of the whole unit at addr.
 func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
+	c.PutPrefix(addr, data, len(data), tag, epoch)
+}
+
+// PutPrefix inserts (or replaces) an image holding the leading len(data)
+// bytes of the unit-byte unit at addr. Only those bytes count against the
+// capacity.
+func (c *Cache) PutPrefix(addr uint64, data []byte, unit int, tag uint32, epoch uint64) {
 	if int64(len(data)) > c.capacity {
 		return // larger than the whole cache: bypass
 	}
 	if e, ok := c.entries[addr]; ok {
 		c.used += int64(len(data)) - int64(len(e.data))
 		e.data = append(e.data[:0], data...)
+		e.unit = unit
 		if e.tag != tag {
 			c.untag(e)
 			e.tag = tag
@@ -134,7 +171,7 @@ func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
 		e.epoch = epoch
 		c.touch(e)
 	} else {
-		e := &cacheEntry{addr: addr, data: append([]byte(nil), data...), tag: tag, epoch: epoch}
+		e := &cacheEntry{addr: addr, data: append([]byte(nil), data...), unit: unit, tag: tag, epoch: epoch}
 		e.elem = c.lru.PushFront(e)
 		e.slot = len(c.sample)
 		c.sample = append(c.sample, e)
@@ -149,19 +186,22 @@ func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
 }
 
 // Update applies an in-place sub-range modification to a cached entry if
-// present (the write-through of Figure 4's step 4). It reports whether the
-// entry existed.
+// present (the write-through of Figure 4's step 4). A prefix image takes
+// the part of the write that falls inside it. It reports whether the entry
+// existed.
 func (c *Cache) Update(addr uint64, off int, data []byte) bool {
 	e, ok := c.entries[addr]
 	if !ok {
 		return false
 	}
-	if off < 0 || off+len(data) > len(e.data) {
+	if off < 0 || off+len(data) > e.unit {
 		// Partial overlap with a differently-sized entry: drop it.
 		c.remove(e)
 		return false
 	}
-	copy(e.data[off:], data)
+	if off < len(e.data) {
+		copy(e.data[off:], data)
+	}
 	return true
 }
 

@@ -233,3 +233,54 @@ func BenchmarkCacheInvalidateTag(b *testing.B) {
 		c.InvalidateTag(2)
 	}
 }
+
+// A prefix image holds the leading bytes of a larger unit: it is accounted
+// at its own length, survives the write-through of the whole unit with its
+// bytes patched, and is served as a short hit — while a whole-unit entry
+// still drops on a write, or a read, of a size it does not cover.
+func TestCachePrefixImage(t *testing.T) {
+	c, _ := newCache(1<<20, PolicyHybrid)
+	unit := bytes.Repeat([]byte{1}, 208)
+	c.PutPrefix(10, unit[:40], len(unit), 0, EpochAlways)
+	if c.Used() != 40 {
+		t.Fatalf("Used() = %d, want the prefix length 40", c.Used())
+	}
+	got, ok := c.GetUnit(10, len(unit), 0, true)
+	if !ok || len(got) != 40 {
+		t.Fatalf("GetUnit of a prefix image: %d bytes ok=%v, want a 40-byte short hit", len(got), ok)
+	}
+
+	// Write-through of the full unit: the prefix takes its part.
+	unit2 := bytes.Repeat([]byte{2}, 208)
+	if !c.Update(10, 0, unit2) {
+		t.Fatal("full-unit update dropped the prefix entry")
+	}
+	if got, ok := c.GetUnit(10, len(unit), 0, true); !ok || !bytes.Equal(got, unit2[:40]) {
+		t.Fatalf("prefix not patched by the full-unit write: ok=%v %v", ok, got)
+	}
+	// A write inside the unit but straddling or past the prefix.
+	if !c.Update(10, 36, []byte{3, 3, 3, 3, 3, 3, 3, 3}) || !c.Update(10, 144, unit2[:64]) {
+		t.Fatal("in-unit update dropped the prefix entry")
+	}
+	got, _ = c.GetUnit(10, len(unit), 0, true)
+	if want := append(append([]byte(nil), unit2[:36]...), 3, 3, 3, 3); !bytes.Equal(got, want) || c.Used() != 40 {
+		t.Fatalf("straddling write: %v (used %d), want %v (used 40)", got, c.Used(), want)
+	}
+	// A write past the unit is a genuine mismatch, prefix or not.
+	if c.Update(10, 200, unit2[:64]) || c.Contains(10) {
+		t.Fatal("write past the unit must drop the entry")
+	}
+
+	// Whole-unit entries keep their old contract.
+	c.Put(20, unit[:64], 0, EpochAlways)
+	if got, ok := c.GetUnit(20, 8, 0, true); !ok || len(got) != 8 {
+		t.Fatalf("covered read of a whole entry: %d bytes ok=%v, want 8", len(got), ok)
+	}
+	if c.Update(20, 0, unit2) || c.Contains(20) {
+		t.Fatal("whole-unit entry must drop on a larger write")
+	}
+	c.Put(21, unit[:64], 0, EpochAlways)
+	if _, ok := c.GetUnit(21, len(unit), 0, true); ok || c.Contains(21) {
+		t.Fatal("whole-unit entry must miss and drop under a larger unit size")
+	}
+}

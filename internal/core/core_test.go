@@ -667,6 +667,90 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 	}
 }
 
+// TestReadPrefixImage: a structure whose admission rule keeps only the head
+// of a unit (SetAdmit) gets that head back as a short hit, pays one fabric
+// read for the rest (ReadWhole) without disturbing the entry, loses the
+// entry like any other when the seqlock epoch moves — and, as the writer,
+// still reads its own overlay first while write-through keeps the prefix
+// current underneath.
+func TestReadPrefixImage(t *testing.T) {
+	r := newRig(t, 16<<20)
+	feW := r.frontend(1, ModeRC(1<<20))
+	h, err := r.connect(feW).Create("prefix", backend.TypeSkipList, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep16 := func(unit []byte) int { return 16 }
+	h.SetAdmit(keep16)
+	node, _ := h.Alloc(64)
+	write := func(v byte) {
+		t.Helper()
+		_, _ = h.OpLog(1, nil)
+		if err := h.Write(node, bytes.Repeat([]byte{v}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.EndOp(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	feR := r.frontend(2, ModeRC(1<<20))
+	hR, err := r.connect(feR).Open("prefix", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hR.SetAdmit(keep16)
+	read := func(h *Handle, want byte, wantLen int, wantTrips int64) {
+		t.Helper()
+		st := h.Conn().Frontend().Stats()
+		before := st.RDMARead.Load()
+		b, err := h.Read(node, 64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != wantLen || !bytes.Equal(b, bytes.Repeat([]byte{want}, wantLen)) {
+			t.Fatalf("read %d bytes %v, want %d of %d", len(b), b, wantLen, want)
+		}
+		if got := st.RDMARead.Load() - before; got != wantTrips {
+			t.Fatalf("read cost %d fabric reads, want %d", got, wantTrips)
+		}
+	}
+	_ = hR.ReaderLock()
+	read(hR, 1, 64, 1) // miss: the whole unit, its head admitted
+	if used := feR.Cache().Used(); used != 16 {
+		t.Fatalf("cache holds %d bytes after admission, want the 16-byte prefix", used)
+	}
+	read(hR, 1, 16, 0) // short hit
+	before := feR.Stats().RDMARead.Load()
+	if b, err := hR.ReadWhole(node, 64); err != nil || len(b) != 64 || b[63] != 1 {
+		t.Fatalf("ReadWhole: %d bytes err=%v", len(b), err)
+	}
+	if got := feR.Stats().RDMARead.Load() - before; got != 1 || feR.Cache().Used() != 16 {
+		t.Fatalf("ReadWhole cost %d fabric reads and left %d cached bytes, want 1 and 16", got, feR.Cache().Used())
+	}
+
+	// The writer rewrites the unit: write-through patches its own prefix
+	// entry, and its reads see the overlay, whole, ahead of it.
+	feW.Cache().PutPrefix(node, bytes.Repeat([]byte{1}, 16), 64, h.tag, EpochAlways)
+	write(2)
+	read(h, 2, 64, 0)
+	if b, ok := feW.Cache().GetUnit(node, 64, EpochAlways, false); !ok || !bytes.Equal(b, bytes.Repeat([]byte{2}, 16)) {
+		t.Fatalf("writer's prefix entry after write-through: ok=%v %v", ok, b)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	read(h, 2, 16, 0) // overlay retired: the patched prefix answers
+
+	// The SN moved with the replayed write: the reader's prefix is stale.
+	_ = hR.ReaderLock()
+	read(hR, 2, 64, 1)
+}
+
 func TestStatsLatencyCharged(t *testing.T) {
 	prof := clock.DefaultProfile()
 	dev := nvm.NewDevice(16 << 20)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"asymnvm/internal/rdma"
 	"asymnvm/internal/trace"
 )
@@ -78,24 +76,13 @@ func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingR
 	fe := h.c.fe
 	p := &PendingReads{h: h, cacheable: cacheable, out: make([][]byte, len(addrs)), addrs: addrs}
 	for i, addr := range addrs {
-		if h.writer && h.overlay != nil {
-			if e, ok := h.overlay[addr]; ok {
-				if len(e.data) != n {
-					return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-				}
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				p.out[i] = append([]byte(nil), e.data...)
-				continue
-			}
+		view, ok, err := h.local(addr, n, cacheable, false)
+		if err != nil {
+			return nil, err
 		}
-		if fe.cache != nil {
-			if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok && len(b) >= n {
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				p.out[i] = append([]byte(nil), b[:n]...)
-				continue
-			}
+		if ok {
+			p.out[i] = append([]byte(nil), view...)
+			continue
 		}
 		off, err := h.devOff(addr)
 		if err != nil {
@@ -145,10 +132,8 @@ func (p *PendingReads) Settle() ([][]byte, error) {
 			return nil, err
 		}
 	}
-	if h.cacheOn(p.cacheable) {
-		for _, i := range p.missIdx {
-			fe.cache.Put(p.addrs[i], p.out[i], h.tag, h.readEpoch())
-		}
+	for _, i := range p.missIdx {
+		h.fill(p.addrs[i], p.out[i], p.cacheable)
 	}
 	return p.out, nil
 }

@@ -195,6 +195,10 @@ type Handle struct {
 
 	// Reader-side state.
 	curSN uint64
+
+	// admit is the structure's admission rule for non-cacheable reads (see
+	// SetAdmit); nil admits nothing.
+	admit func(unit []byte) int
 }
 
 // SetOpGroupCommit enables op-log group commit (stack/queue, §8.1).
@@ -267,64 +271,131 @@ func (h *Handle) readEpoch() uint64 {
 	return h.curSN
 }
 
-// cacheOn reports whether this access may use the DRAM cache.
-func (h *Handle) cacheOn(cacheable bool) bool {
-	return cacheable && h.c.fe.cache != nil
+// local serves addr from the front-end's own memory: the writer's overlay
+// (authoritative for its unreplayed units), then — unless the caller needs
+// the whole unit and the cache may hold only a prefix image of it — the
+// DRAM cache. The view is the owner's slice — read-only, and good until
+// that unit is next written or fetched (eviction leaves the bytes alone) —
+// and is shorter than n when the cache holds a prefix.
+func (h *Handle) local(addr uint64, n int, cacheable, whole bool) ([]byte, bool, error) {
+	fe := h.c.fe
+	var view []byte
+	if e, ok := h.overlay[addr]; ok && h.writer {
+		if len(e.data) != n {
+			return nil, false, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
+		}
+		view = e.data
+	} else if whole || fe.cache == nil {
+		return nil, false, nil
+	} else if view, ok = fe.cache.GetUnit(addr, n, h.readEpoch(), cacheable); !ok {
+		return nil, false, nil
+	}
+	fe.clk.Advance(fe.prof.DRAMAccess)
+	fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
+	return view, true, nil
 }
+
+// fetch reads the unit at addr over the fabric into buf.
+func (h *Handle) fetch(addr uint64, buf []byte) error {
+	off, err := h.devOff(addr)
+	if err != nil {
+		return err
+	}
+	fe := h.c.fe
+	fe.tr.BeginArg(trace.KindFetch, addr)
+	err = h.c.epRead(off, buf)
+	fe.tr.End()
+	return err
+}
+
+// fill offers a unit just fetched from the fabric to the DRAM cache: whole
+// when the read was cacheable, else the leading bytes the structure's
+// admission rule keeps (SetAdmit). Every cache insertion of the read path
+// goes through here, so a hit never copies into the cache.
+func (h *Handle) fill(addr uint64, unit []byte, cacheable bool) {
+	fe := h.c.fe
+	if fe.cache == nil {
+		return
+	}
+	keep := len(unit)
+	if !cacheable {
+		if h.admit == nil {
+			return
+		}
+		keep = h.admit(unit)
+	}
+	if keep > 0 {
+		fe.cache.PutPrefix(addr, unit[:keep], len(unit), h.tag, h.readEpoch())
+	}
+}
+
+// SetAdmit installs the structure's admission rule for reads it issues
+// with cacheable=false — structures that can judge a node only after
+// reading it, like the skip list's tower-height bias. keep is handed each
+// unit fetched from the fabric and returns how many of its leading bytes
+// the DRAM cache should keep: 0 for none, fewer than the unit for a prefix
+// image, which later reads of the unit get back as a short hit.
+func (h *Handle) SetAdmit(keep func(unit []byte) int) { h.admit = keep }
 
 // Read implements rnvm_read: overlay (the writer's unreplayed units),
 // then the DRAM cache, then a one-sided RDMA read — Figure 4's gather
 // path. cacheable selects between swap-in (hot data) and direct remote
 // read (cold data), the structure-specific choice of §4.4/§8: the cache
 // is always consulted (a hit is a hit), but only cacheable reads fill it
-// or count as misses.
+// or count as misses. The result is the caller's own copy; it is shorter
+// than n only when the cache held a prefix image of the unit.
 func (h *Handle) Read(addr uint64, n int, cacheable bool) ([]byte, error) {
-	fe := h.c.fe
-	if h.writer && h.overlay != nil {
-		if e, ok := h.overlay[addr]; ok {
-			if len(e.data) != n {
-				return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-			}
-			fe.clk.Advance(fe.prof.DRAMAccess)
-			fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-			return append([]byte(nil), e.data...), nil
-		}
-	}
-	if fe.cache != nil {
-		if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok {
-			fe.clk.Advance(fe.prof.DRAMAccess)
-			fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-			out := make([]byte, n)
-			if copy(out, b) != n {
-				// Cached under a different unit size; treat as a miss.
-				fe.cache.Invalidate(addr)
-			} else {
-				return out, nil
-			}
-		}
-	}
-	off, err := h.devOff(addr)
+	return h.read(addr, n, cacheable, false)
+}
+
+// ReadWhole is Read for a caller that holds a prefix image and needs the
+// rest of the unit: overlay, then the fabric, never the cache.
+func (h *Handle) ReadWhole(addr uint64, n int) ([]byte, error) {
+	return h.read(addr, n, false, true)
+}
+
+func (h *Handle) read(addr uint64, n int, cacheable, whole bool) ([]byte, error) {
+	view, ok, err := h.local(addr, n, cacheable, whole)
 	if err != nil {
 		return nil, err
+	}
+	if ok {
+		out := make([]byte, len(view))
+		copy(out, view)
+		return out, nil
 	}
 	buf := make([]byte, n)
-	fe.tr.BeginArg(trace.KindFetch, addr)
-	err = h.c.epRead(off, buf)
-	fe.tr.End()
-	if err != nil {
+	if err := h.fetch(addr, buf); err != nil {
 		return nil, err
 	}
-	if h.cacheOn(cacheable) {
-		fe.cache.Put(addr, buf, h.tag, h.readEpoch())
+	if !whole {
+		h.fill(addr, buf, cacheable)
 	}
 	return buf, nil
+}
+
+// ReadInto is Read without the copy, for read-only traversals: a hit
+// returns the overlay's or the cache's own bytes — read-only, and good
+// only until that unit is next written or fetched — and a miss is fetched
+// into dst, whose length is the unit size.
+func (h *Handle) ReadInto(addr uint64, dst []byte, cacheable bool) ([]byte, error) {
+	view, ok, err := h.local(addr, len(dst), cacheable, false)
+	if ok || err != nil {
+		return view, err
+	}
+	if err := h.fetch(addr, dst); err != nil {
+		return nil, err
+	}
+	h.fill(addr, dst, cacheable)
+	return dst, nil
 }
 
 // ReadMulti is the multi-get companion of Read: every address is looked
 // up at unit size n through overlay and cache first, and the misses are
 // fetched as independent one-sided reads posted to the connection's
 // pipeline — one doorbell group per queue-depth window instead of one
-// round trip per address. Results index-match addrs. This is what turns
+// round trip per address. Results index-match addrs (each the caller's
+// own copy, short where Read's would be). This is what turns
 // a multi-node traversal (B+-tree leaf scan, hash-chain walk across
 // keys) from RTT-bound into bandwidth-bound.
 func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, error) {
@@ -333,24 +404,13 @@ func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, err
 	var missIdx []int
 	var ops []rdma.ReadOp
 	for i, addr := range addrs {
-		if h.writer && h.overlay != nil {
-			if e, ok := h.overlay[addr]; ok {
-				if len(e.data) != n {
-					return nil, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
-				}
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				out[i] = append([]byte(nil), e.data...)
-				continue
-			}
+		view, ok, err := h.local(addr, n, cacheable, false)
+		if err != nil {
+			return nil, err
 		}
-		if fe.cache != nil {
-			if b, ok := fe.cache.Get(addr, h.readEpoch(), cacheable); ok && len(b) >= n {
-				fe.clk.Advance(fe.prof.DRAMAccess)
-				fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
-				out[i] = append([]byte(nil), b[:n]...)
-				continue
-			}
+		if ok {
+			out[i] = append([]byte(nil), view...)
+			continue
 		}
 		off, err := h.devOff(addr)
 		if err != nil {
@@ -370,21 +430,10 @@ func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, err
 	if err != nil {
 		return nil, err
 	}
-	if h.cacheOn(cacheable) {
-		for _, i := range missIdx {
-			fe.cache.Put(addrs[i], out[i], h.tag, h.readEpoch())
-		}
+	for _, i := range missIdx {
+		h.fill(addrs[i], out[i], cacheable)
 	}
 	return out, nil
-}
-
-// CachePut force-inserts bytes into the DRAM cache under the handle's
-// current epoch (structures that decide cacheability only after reading a
-// node, like the skiplist's level bias).
-func (h *Handle) CachePut(addr uint64, data []byte) {
-	if h.c.fe.cache != nil {
-		h.c.fe.cache.Put(addr, data, h.tag, h.readEpoch())
-	}
 }
 
 // ReadUncached is a direct remote read that bypasses cache and overlay

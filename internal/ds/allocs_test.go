@@ -52,3 +52,55 @@ func TestHotPathAllocsUntraced(t *testing.T) {
 		t.Errorf("Get allocates %.1f/op untraced, ceiling %d", getAllocs, getCeiling)
 	}
 }
+
+// TestSkipListGetAllocsUntraced pins the read-only descent: it walks cached
+// towers in place and fetches everything else into the structure's two hop
+// buffers, so a Get allocates only the value it hands out — whether that
+// is copied from a whole unit or read whole behind a tower.
+func TestSkipListGetAllocsUntraced(t *testing.T) {
+	r := newRig(t)
+	c := r.conn(1, core.ModeRC(1<<20))
+	sl, err := CreateSkipList(c, "allocs", Options{Create: testCreate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 2048
+	for i := 1; i <= keys; i++ {
+		if err := sl.Put(uint64(i)*2, val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Retire the overlay so reads come from the cache and the fabric, then
+	// let one pass admit the towers.
+	if err := sl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= keys; i++ {
+		if _, ok, err := sl.Get(uint64(i) * 2); err != nil || !ok {
+			t.Fatalf("get %d: ok=%v err=%v", i*2, ok, err)
+		}
+	}
+	k := uint64(0)
+	hitAllocs := testing.AllocsPerRun(keys-1, func() {
+		k += 2
+		if _, ok, err := sl.Get(k); err != nil || !ok {
+			t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
+		}
+	})
+	k = 1
+	missAllocs := testing.AllocsPerRun(keys-1, func() {
+		k += 2
+		if _, ok, err := sl.Get(k); err != nil || ok {
+			t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
+		}
+	})
+	t.Logf("untraced skip-list get: found=%.2f absent=%.2f allocs/op", hitAllocs, missAllocs)
+	// Measured 1 and 0; the ceilings are one above.
+	const hitCeiling, missCeiling = 2, 1
+	if hitAllocs > hitCeiling {
+		t.Errorf("Get of a present key allocates %.2f/op untraced, ceiling %d", hitAllocs, hitCeiling)
+	}
+	if missAllocs > missCeiling {
+		t.Errorf("Get of an absent key allocates %.2f/op untraced, ceiling %d", missAllocs, missCeiling)
+	}
+}

@@ -43,7 +43,9 @@ import (
 
 // crashCase describes one structure's row in the matrix.
 type crashCase struct {
-	name  string
+	name string
+	// cache is the probing front-end's DRAM cache (0: none, plain ModeR).
+	cache int64
 	build func(t *testing.T, c *core.Conn) func() error // create+seed+drain; returns the probe op
 	// check reopens as writer, drains and verifies the invariants. sealed
 	// is how many of the probe's operations (in order) had their op record
@@ -74,15 +76,19 @@ func crashOpts() Options {
 
 // newCrashCell builds a fresh device+back-end+writer front-end. tr may
 // be nil (only the counting pass traces).
-func newCrashCell(t *testing.T, tr *trace.Tracer) (*nvm.Device, *backend.Backend, *core.Conn) {
+func newCrashCell(t *testing.T, tc crashCase, tr *trace.Tracer) (*nvm.Device, *backend.Backend, *core.Conn) {
 	t.Helper()
+	mode := core.ModeR()
+	if tc.cache > 0 {
+		mode = core.ModeRC(tc.cache)
+	}
 	dev := nvm.NewDevice(64 << 20)
 	bk, err := backend.New(dev, backend.Options{ID: 0, Profile: &zprof})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bk.Start()
-	fe := core.NewFrontend(core.FrontendOptions{ID: 1, Mode: core.ModeR(), Profile: &zprof, Tracer: tr})
+	fe := core.NewFrontend(core.FrontendOptions{ID: 1, Mode: mode, Profile: &zprof, Tracer: tr})
 	conn, err := fe.Connect(bk)
 	if err != nil {
 		bk.Stop()
@@ -102,7 +108,7 @@ func newCrashCell(t *testing.T, tr *trace.Tracer) (*nvm.Device, *backend.Backend
 func probeCrashPoints(t *testing.T, tc crashCase) []crashPoint {
 	t.Helper()
 	tr := trace.New()
-	_, bk, conn := newCrashCell(t, tr)
+	_, bk, conn := newCrashCell(t, tc, tr)
 	defer bk.Stop()
 	probe := tc.build(t, conn)
 	atr := conn.Frontend().Tracer()
@@ -156,7 +162,7 @@ func probeCrashPoints(t *testing.T, tc crashCase) []crashPoint {
 func runCrashPoint(t *testing.T, tc crashCase, cp crashPoint) {
 	t.Helper()
 	k := cp.k
-	dev, bk, conn := newCrashCell(t, nil)
+	dev, bk, conn := newCrashCell(t, tc, nil)
 	stopped := false
 	defer func() {
 		if !stopped {
@@ -225,6 +231,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		queueCrashCase(),
 		kvCrashCase("HashTable"),
 		kvCrashCase("SkipList"),
+		towerPredCrashCase(),
 		kvCrashCase("BST"),
 		kvCrashCase("BPTree"),
 		kvCrashCase("MVBST"),
@@ -829,6 +836,78 @@ func kvCrashCase(kind string) crashCase {
 						t.Fatalf("scan keys %v, want %v", keys, want)
 					}
 				}
+			}
+		},
+	}
+}
+
+// towerPredCrashCase is the skip-list row for a predecessor the writer
+// knows only by its cached tower. The probe inserts right behind a tall
+// seed node after a drain (overlay retired) and a lookup (tower admitted),
+// so the unit it rewrites is rebuilt from a whole-unit re-read — and the
+// seed check, which reads that node's value back after every crash point
+// and after ReplayPending's re-execution, fails if a value-less image was
+// ever logged in its place.
+func towerPredCrashCase() crashCase {
+	const name, seeds = "SkipListTower", 64
+	opts := crashOpts()
+	return crashCase{
+		name:  name,
+		cache: 1 << 20,
+		build: func(t *testing.T, c *core.Conn) func() error {
+			sl, err := CreateSkipList(c, name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= seeds; i++ {
+				if err := sl.Put(uint64(2*i), crashVal(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sl.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			// The first seed whose tower the policy admits.
+			pred := uint64(0)
+			for i := 1; i <= seeds && pred == 0; i++ {
+				if _, _, err := sl.Get(uint64(2 * i)); err != nil {
+					t.Fatal(err)
+				}
+				if _, img, err := sl.descend(uint64(2*i), nil); err != nil {
+					t.Fatal(err)
+				} else if len(img) < sl.nodeSize() {
+					pred = uint64(2 * i)
+				}
+			}
+			if pred == 0 {
+				t.Fatal("no seed node is cached as a tower")
+			}
+			return func() error { return sl.Put(pred+1, probeVal) }
+		},
+		check: func(t *testing.T, c *core.Conn, sealed int) {
+			sl, err := OpenSkipList(c, name, true, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if err := sl.Drain(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			probes := 0
+			for k := uint64(1); k <= 2*seeds+1; k++ {
+				got, ok, err := sl.Get(k)
+				switch {
+				case err != nil:
+					t.Fatalf("get %d: %v", k, err)
+				case k%2 == 0 && (!ok || !bytes.Equal(got, crashVal(int(k/2)))):
+					t.Fatalf("seed key %d lost or wrong: ok=%v got=%q", k, ok, got)
+				case k%2 == 1 && ok:
+					if probes++; !bytes.Equal(got, probeVal) {
+						t.Fatalf("probe key %d mangled: got %q", k, got)
+					}
+				}
+			}
+			if probes > 1 || probes == 0 && sealed > 0 {
+				t.Fatalf("%d probe keys present with %d sealed", probes, sealed)
 			}
 		},
 	}

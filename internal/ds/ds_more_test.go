@@ -155,26 +155,26 @@ func TestSkipListOrderedTraversalAfterDrain(t *testing.T) {
 	}
 	// Walk level 0 from the sentinel: keys must be strictly ascending and
 	// complete.
-	cur, err := sl.readNode(sl.head)
+	cur, err := sl.readNode(sl.head, sl.hop[0], -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := uint64(0)
 	count := 0
-	for addr := cur.next[0]; addr != 0; {
-		n, err := sl.readNode(addr)
+	for addr := slNext(cur, 0); addr != 0; {
+		n, err := sl.readNode(addr, sl.hop[0], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.key <= prev {
-			t.Fatalf("ordering violated: %d after %d", n.key, prev)
+		if slKey(n) <= prev {
+			t.Fatalf("ordering violated: %d after %d", slKey(n), prev)
 		}
-		if !keys[n.key] {
-			t.Fatalf("phantom key %d", n.key)
+		if !keys[slKey(n)] {
+			t.Fatalf("phantom key %d", slKey(n))
 		}
-		prev = n.key
+		prev = slKey(n)
 		count++
-		addr = n.next[0]
+		addr = slNext(n, 0)
 	}
 	if count != len(keys) {
 		t.Fatalf("level-0 walk found %d keys, want %d", count, len(keys))

@@ -13,7 +13,10 @@ import (
 // with p = 0.5; insertion first writes the fully-linked new node, then
 // updates predecessor pointers bottom-up, so concurrent readers always
 // see a navigable list and never need a lock. Nodes with more levels sit
-// on more search paths, so high nodes are the ones worth caching.
+// on more search paths, so high nodes are the ones worth caching — and a
+// search needs only a node's tower, {header, next[0:level]}, so the tower
+// is the image the DRAM cache keeps (a prefix image, core.Handle.SetAdmit):
+// the bytes a full node would take hold four to five towers.
 //
 // Node layout (fixed size so a node is a single read unit):
 //
@@ -24,18 +27,51 @@ const (
 	SkipListMaxLevel = 16
 	slHdr            = 16
 	slNextOff        = 16
-	// slCacheLevel: nodes with at least this many levels are cached.
-	slCacheLevel = 3
+	slValOff         = slNextOff + SkipListMaxLevel*8
 )
 
+// Accessors over a node image: a full unit, or the tower the cache keeps.
+func slKey(img []byte) uint64         { return binary.LittleEndian.Uint64(img) }
+func slVlen(img []byte) int           { return int(binary.LittleEndian.Uint32(img[8:])) }
+func slLevel(img []byte) int          { return int(img[12]) }
+func slNext(img []byte, i int) uint64 { return binary.LittleEndian.Uint64(img[slNextOff+8*i:]) }
+func slSetNext(img []byte, i int, addr uint64) {
+	binary.LittleEndian.PutUint64(img[slNextOff+8*i:], addr)
+}
+
+// slTower is the length of the tower image of a node of the given height.
+func slTower(level int) int { return slHdr + 8*level }
+
 // SkipList is a persistent ordered map. The root pointer is the sentinel
-// head node (full height, no key).
+// head node (full height, no key). Like its handle, a SkipList belongs to
+// one actor: the descent works in structure-owned scratch.
 type SkipList struct {
 	kvBase
 	head uint64
+	pol  *levelPolicy // admission hint: towers of height >= SkipListMaxLevel-N
+	hop  [2][]byte    // descent scratch: the current node and the one being compared
+	path slPath
+	node []byte // the unit a put is building
 }
 
-func (s *SkipList) nodeSize() int { return slHdr + SkipListMaxLevel*8 + s.cap }
+// slPath is what a writer's descent leaves behind: per level, the
+// predecessor's address and a private copy of its image.
+type slPath struct {
+	pred [SkipListMaxLevel]uint64
+	img  [SkipListMaxLevel][]byte
+}
+
+func (s *SkipList) nodeSize() int { return slValOff + s.cap }
+
+func newSkipList(h *core.Handle, opts Options, writer bool) *SkipList {
+	s := &SkipList{kvBase: newKVBase(h, opts, writer), pol: newTowerPolicy()}
+	if opts.FlatCache {
+		s.pol = newFlatPolicy()
+	}
+	s.hop[0], s.hop[1] = make([]byte, s.nodeSize()), make([]byte, s.nodeSize())
+	h.SetAdmit(s.admit)
+	return s
+}
 
 // CreateSkipList registers a new skip list and writes its sentinel.
 func CreateSkipList(c *core.Conn, name string, opts Options) (*SkipList, error) {
@@ -44,7 +80,7 @@ func CreateSkipList(c *core.Conn, name string, opts Options) (*SkipList, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &SkipList{kvBase: newKVBase(h, opts, true)}
+	s := newSkipList(h, opts, true)
 	// Sentinel head: full height, all next pointers nil. Initialized
 	// through the log path so mirrors replicate it.
 	head, err := c.Calloc(uint64(s.nodeSize()))
@@ -78,7 +114,7 @@ func OpenSkipList(c *core.Conn, name string, writer bool, opts Options) (*SkipLi
 	if err != nil {
 		return nil, err
 	}
-	s := &SkipList{kvBase: newKVBase(h, opts, writer)}
+	s := newSkipList(h, opts, writer)
 	head, err := h.ReadRoot()
 	if err != nil {
 		return nil, err
@@ -97,55 +133,56 @@ func OpenSkipList(c *core.Conn, name string, writer bool, opts Options) (*SkipLi
 	return s, nil
 }
 
-type slNode struct {
-	key   uint64
-	level int
-	next  [SkipListMaxLevel]uint64
-	val   []byte
+// admit is the handle's admission rule (core.Handle.SetAdmit): of a node
+// just fetched from the fabric the cache keeps the tower, if the policy
+// rates towers of that height worth the bytes. The sentinel is full
+// height, so it is always in.
+func (s *SkipList) admit(unit []byte) int {
+	level := slLevel(unit)
+	if level == 0 || level > SkipListMaxLevel || !s.pol.cacheable(SkipListMaxLevel-level) {
+		return 0
+	}
+	return slTower(level)
 }
 
-func (s *SkipList) encodeNode(n *slNode) []byte {
-	buf := make([]byte, s.nodeSize())
-	binary.LittleEndian.PutUint64(buf, n.key)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(n.val)))
-	buf[12] = byte(n.level)
-	for i := 0; i < SkipListMaxLevel; i++ {
-		binary.LittleEndian.PutUint64(buf[slNextOff+8*i:], n.next[i])
+// check validates a node image reached through a level-via pointer (-1:
+// the head, or no particular level): a node linked at a level is taller
+// than it, which is also what keeps next[via] inside a tower image.
+func (s *SkipList) check(img []byte, via int) error {
+	vlen, level := slVlen(img), slLevel(img)
+	if vlen > s.cap || level <= via || level == 0 || level > SkipListMaxLevel || len(img) < slTower(level) {
+		return fmt.Errorf("ds: corrupt skiplist node (vlen=%d level=%d via level %d)", vlen, level, via)
 	}
-	copy(buf[slHdr+SkipListMaxLevel*8:], n.val)
-	return buf
+	return nil
 }
 
-func (s *SkipList) decodeNode(buf []byte) (*slNode, error) {
-	n := &slNode{}
-	n.key = binary.LittleEndian.Uint64(buf)
-	vlen := binary.LittleEndian.Uint32(buf[8:])
-	n.level = int(buf[12])
-	if int(vlen) > s.cap || n.level == 0 || n.level > SkipListMaxLevel {
-		return nil, fmt.Errorf("ds: corrupt skiplist node (vlen=%d level=%d)", vlen, n.level)
-	}
-	for i := 0; i < SkipListMaxLevel; i++ {
-		n.next[i] = binary.LittleEndian.Uint64(buf[slNextOff+8*i:])
-	}
-	vBase := slHdr + SkipListMaxLevel*8
-	n.val = append([]byte(nil), buf[vBase:vBase+int(vlen)]...)
-	return n, nil
-}
-
-// readNode reads a node; high towers get cached after the level is known.
-func (s *SkipList) readNode(addr uint64) (*slNode, error) {
-	buf, err := s.h.Read(addr, s.nodeSize(), false)
+// readNode returns the image of the node at addr: its tower on a cache
+// hit, else the whole unit from the overlay or — fetched into dst — the
+// fabric. The bytes are ReadInto's: read-only, and good until that unit
+// is next written or fetched.
+func (s *SkipList) readNode(addr uint64, dst []byte, via int) ([]byte, error) {
+	img, err := s.h.ReadInto(addr, dst, false)
 	if err != nil {
 		return nil, err
 	}
-	n, err := s.decodeNode(buf)
+	return img, s.check(img, via)
+}
+
+// value returns a copy of the value of the node at addr, given the image a
+// descent found it by: a tower has none, so that costs one read of the
+// whole unit.
+func (s *SkipList) value(addr uint64, img []byte) ([]byte, error) {
+	if len(img) == s.nodeSize() {
+		return append([]byte(nil), img[slValOff:slValOff+slVlen(img)]...), nil
+	}
+	unit, err := s.h.ReadWhole(addr, s.nodeSize())
 	if err != nil {
 		return nil, err
 	}
-	if n.level >= slCacheLevel || addr == s.head {
-		s.h.CachePut(addr, buf)
+	if err := s.check(unit, -1); err != nil {
+		return nil, err
 	}
-	return n, nil
+	return unit[slValOff : slValOff+slVlen(unit)], nil
 }
 
 // randomLevel draws a tower height with p = 0.5 (the paper sets p=0.5).
@@ -159,44 +196,47 @@ func (s *SkipList) randomLevel() int {
 	return lvl
 }
 
-// findPreds locates the predecessor node at every level (Figure 2's
-// traversal), returning their addresses and decoded images.
-func (s *SkipList) findPreds(key uint64) ([SkipListMaxLevel]uint64, map[uint64]*slNode, *slNode, error) {
-	var preds [SkipListMaxLevel]uint64
-	images := make(map[uint64]*slNode)
-	cur := s.head
-	curN, err := s.readNode(cur)
+// descend is Figure 2's traversal. It walks from the head towards key and
+// stops at the level where it finds it, returning that node's address and
+// image; address 0 means the walk reached the bottom without it. A writer
+// passes path to have the predecessor at every level recorded (complete
+// only on a miss, which is when an insert needs it). The walk allocates
+// nothing: nodes are read into the two hop buffers, and the last node seen
+// with a larger key is remembered so the level below does not re-read it.
+func (s *SkipList) descend(key uint64, path *slPath) (uint64, []byte, error) {
+	curAddr, spare := s.head, 1
+	cur, err := s.readNode(curAddr, s.hop[0], -1)
 	if err != nil {
-		return preds, nil, nil, err
+		return 0, nil, err
 	}
-	images[cur] = curN
-	var foundNode *slNode
+	var bound uint64
 	for level := SkipListMaxLevel - 1; level >= 0; level-- {
 		for {
-			nxt := curN.next[level]
-			if nxt == 0 {
+			nxt := slNext(cur, level)
+			if nxt == 0 || nxt == bound {
 				break
 			}
-			nxtN, ok := images[nxt]
-			if !ok {
-				nxtN, err = s.readNode(nxt)
-				if err != nil {
-					return preds, nil, nil, err
-				}
-				images[nxt] = nxtN
+			img, err := s.readNode(nxt, s.hop[spare], level)
+			if err != nil {
+				return 0, nil, err
 			}
-			if nxtN.key < key {
-				cur, curN = nxt, nxtN
-				continue
+			if k := slKey(img); k == key {
+				return nxt, img, nil
+			} else if k > key {
+				bound = nxt
+				break
 			}
-			if nxtN.key == key {
-				foundNode = nxtN
+			if &img[0] == &s.hop[spare][0] {
+				spare ^= 1
 			}
-			break
+			curAddr, cur = nxt, img
 		}
-		preds[level] = cur
+		if path != nil {
+			path.pred[level] = curAddr
+			path.img[level] = append(path.img[level][:0], cur...)
+		}
 	}
-	return preds, images, foundNode, nil
+	return 0, nil, nil
 }
 
 // Put inserts or updates key.
@@ -216,45 +256,62 @@ func (s *SkipList) Put(key uint64, val []byte) error {
 	return s.w.end()
 }
 
+// newUnit starts a node unit in the put scratch: the given tower, the
+// value, zeroes elsewhere. Handle.Write copies, so the scratch is reused.
+func (s *SkipList) newUnit(tower, val []byte) []byte {
+	if s.node == nil {
+		s.node = make([]byte, s.nodeSize())
+	}
+	clear(s.node[copy(s.node, tower):])
+	binary.LittleEndian.PutUint32(s.node[8:], uint32(len(val)))
+	copy(s.node[slValOff:], val)
+	return s.node
+}
+
 func (s *SkipList) put(key uint64, val []byte) error {
-	preds, images, found, err := s.findPreds(key)
+	s.pol.observeFill(s.h.Conn().Frontend())
+	found, img, err := s.descend(key, &s.path)
 	if err != nil {
 		return err
 	}
-	if found != nil {
-		// Update in place: find the node's address via pred level 0.
-		addr := images[preds[0]].next[0]
-		upd := *found
-		upd.val = val
-		return s.h.Write(addr, s.encodeNode(&upd))
+	if found != 0 {
+		// Update in place. A tower is enough to rebuild the unit from: the
+		// one thing it lacks is the value being replaced.
+		return s.h.Write(found, s.newUnit(img[:slTower(slLevel(img))], val))
 	}
 	lvl := s.randomLevel()
-	node := &slNode{key: key, level: lvl, val: val}
+	var tower [slValOff]byte
+	binary.LittleEndian.PutUint64(tower[:], key)
+	tower[12] = byte(lvl)
 	for i := 0; i < lvl; i++ {
-		node.next[i] = images[preds[i]].next[i]
+		slSetNext(tower[:], i, slNext(s.path.img[i], i))
 	}
 	addr, err := s.h.Alloc(s.nodeSize())
 	if err != nil {
 		return err
 	}
 	// Write the fully linked new node first (§8.4's ordering)…
-	if err := s.h.Write(addr, s.encodeNode(node)); err != nil {
+	if err := s.h.Write(addr, s.newUnit(tower[:slTower(lvl)], val)); err != nil {
 		return err
 	}
 	// …then swing predecessor pointers bottom-up. Each predecessor is
-	// rewritten as a whole unit; duplicates are coalesced per level set.
-	for i := 0; i < lvl; i++ {
-		p := images[preds[i]]
-		p.next[i] = addr
-	}
-	written := make(map[uint64]bool)
-	for i := 0; i < lvl; i++ {
-		pa := preds[i]
-		if written[pa] {
-			continue
+	// rewritten once, as a whole unit, with every level it precedes the new
+	// node at (those levels are adjacent). Its value must come along, so a
+	// predecessor the walk saw only as a cached tower is read whole first.
+	for i := 0; i < lvl; {
+		pa, unit := s.path.pred[i], s.path.img[i]
+		if len(unit) < s.nodeSize() {
+			if unit, err = s.h.ReadWhole(pa, s.nodeSize()); err != nil {
+				return err
+			}
+			if err := s.check(unit, i); err != nil {
+				return err
+			}
 		}
-		written[pa] = true
-		if err := s.h.Write(pa, s.encodeNode(images[pa])); err != nil {
+		for ; i < lvl && s.path.pred[i] == pa; i++ {
+			slSetNext(unit, i, addr)
+		}
+		if err := s.h.Write(pa, unit); err != nil {
 			return err
 		}
 	}
@@ -265,20 +322,20 @@ func (s *SkipList) put(key uint64, val []byte) error {
 // current sequence number only to freshen their cache epoch and never
 // validate or retry (§8.4: "the lock is not required").
 func (s *SkipList) Get(key uint64) ([]byte, bool, error) {
-	s.h.Conn().Frontend().ChargeOp()
+	fe := s.h.Conn().Frontend()
+	fe.ChargeOp()
 	if !s.writer {
 		if err := s.h.ReaderLock(); err != nil {
 			return nil, false, err
 		}
 	}
-	_, _, found, err := s.findPreds(key)
-	if err != nil {
+	s.pol.observeFill(fe)
+	addr, img, err := s.descend(key, nil)
+	if err != nil || addr == 0 {
 		return nil, false, err
 	}
-	if found == nil {
-		return nil, false, nil
-	}
-	return found.val, true, nil
+	v, err := s.value(addr, img)
+	return v, err == nil, err
 }
 
 var skipListReplay = replayTable[*SkipList]{put: (*SkipList).put}

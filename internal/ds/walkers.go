@@ -140,16 +140,16 @@ type slCursor struct {
 	done  bool
 }
 
-// slWalker runs the skip-list descent of findPreds for a whole batch,
-// sharing one image map: a round fetches every node any cursor needs and
-// is missing, deduplicated in first-need order, then all cursors advance
-// as far as the images allow.
+// slWalker runs the skip-list descent for a whole batch, sharing one image
+// map: a round fetches every node any cursor needs and is missing,
+// deduplicated in first-need order, then all cursors advance as far as the
+// images allow. Images are whole units or cached towers, as in descend.
 type slWalker struct {
 	s       *SkipList
 	keys    []uint64
 	vals    [][]byte
 	found   []bool
-	images  map[uint64]*slNode
+	images  map[uint64][]byte
 	curs    []slCursor
 	need    []uint64
 	needSet map[uint64]bool
@@ -158,7 +158,7 @@ type slWalker struct {
 func (s *SkipList) newGetWalker(keys []uint64, vals [][]byte, found []bool) getWalker {
 	w := &slWalker{
 		s: s, keys: keys, vals: vals, found: found,
-		images:  make(map[uint64]*slNode),
+		images:  make(map[uint64][]byte),
 		curs:    make([]slCursor, len(keys)),
 		needSet: make(map[uint64]bool),
 	}
@@ -187,39 +187,37 @@ func (w *slWalker) next() (fetchReq, bool) {
 
 func (w *slWalker) absorb(bufs [][]byte) error {
 	for j, buf := range bufs {
-		addr := w.need[j]
-		n, err := w.s.decodeNode(buf)
-		if err != nil {
+		if err := w.s.check(buf, -1); err != nil {
 			return err
 		}
-		w.images[addr] = n
-		if n.level >= slCacheLevel || addr == w.s.head {
-			w.s.h.CachePut(addr, buf)
-		}
+		w.images[w.need[j]] = buf
 	}
 	w.need = w.need[:0]
 	w.needSet = make(map[uint64]bool)
 	for i := range w.curs {
-		w.advance(i)
+		if err := w.advance(i); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // advance pushes cursor i down the list until it completes or needs a
-// node image the walker has not fetched yet.
-func (w *slWalker) advance(i int) {
+// node image the walker has not fetched yet. A key found by a tower image
+// pays its whole-unit read here, outside the round's doorbell group.
+func (w *slWalker) advance(i int) error {
 	c := &w.curs[i]
 	if c.done {
-		return
+		return nil
 	}
 	key := w.keys[i]
 	curN := w.images[c.cur]
 	if curN == nil {
 		w.require(c.cur)
-		return
+		return nil
 	}
 	for c.level >= 0 {
-		nxt := curN.next[c.level]
+		nxt := slNext(curN, c.level)
 		if nxt == 0 {
 			c.level--
 			continue
@@ -227,20 +225,25 @@ func (w *slWalker) advance(i int) {
 		nxtN, ok := w.images[nxt]
 		if !ok {
 			w.require(nxt)
-			return
+			return nil
 		}
-		if nxtN.key < key {
+		if err := w.s.check(nxtN, c.level); err != nil {
+			return err
+		}
+		switch k := slKey(nxtN); {
+		case k < key:
 			c.cur, curN = nxt, nxtN
-			continue
-		}
-		if nxtN.key == key {
-			w.vals[i], w.found[i] = nxtN.val, true
+		case k == key:
+			v, err := w.s.value(nxt, nxtN)
+			w.vals[i], w.found[i] = v, err == nil
 			c.done = true
-			return
+			return err
+		default:
+			c.level--
 		}
-		c.level--
 	}
 	c.done = true
+	return nil
 }
 
 // GetMulti looks a batch of keys up with posted-verb parallelism: every
@@ -254,6 +257,7 @@ func (s *SkipList) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 			return nil, nil, err
 		}
 	}
+	s.pol.observeFill(s.h.Conn().Frontend())
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
 	if err := runWalker(s.h, s.newGetWalker(keys, vals, found)); err != nil {
