@@ -24,7 +24,9 @@ type MirrorSink interface {
 	// WantsRaw reports whether the sink keeps a byte-identical replica
 	// (an NVM-equipped mirror). Raw forwards carry device ranges.
 	WantsRaw() bool
-	// MirrorWrite applies a raw device range to the replica.
+	// MirrorWrite applies a raw device range to the replica. data is
+	// valid for the call only (op records are forwarded out of the service
+	// loop's reused scan buffer): a sink that keeps it copies it.
 	MirrorWrite(devOff uint64, data []byte) error
 	// MirrorOp archives one encoded operation-log record (the semantic
 	// stream kept by SSD/disk mirrors).
@@ -110,6 +112,12 @@ type Backend struct {
 	// inside a transaction's replay (forwardMemRecord), whose record
 	// still lives in decArena.
 	opArena arena.Arena
+	// Log-read scratch (service goroutine only; readArea): the memory-log
+	// scan's chunk, the op-log scan's — it runs nested inside the former —
+	// and the op-log bytes a FlagOpRef entry points at, applied while the
+	// memory-log chunk is still being decoded.
+	memScan, opScan, refVal []byte
+	dssScan                 []*dsReplay // replayAll's snapshot of dss
 
 	// resolver consults a coordinator log for in-doubt prepares during
 	// recovery (see twopc.go); nil leaves them held.

@@ -199,10 +199,11 @@ func (b *Backend) replayAll() {
 		return
 	}
 	b.mu.Lock()
-	dss := make([]*dsReplay, 0, len(b.dss))
+	dss := b.dssScan[:0]
 	for _, ds := range b.dss {
 		dss = append(dss, ds)
 	}
+	b.dssScan = dss
 	b.mu.Unlock()
 	kickMirrors := false
 	for _, ds := range dss {
@@ -224,9 +225,19 @@ func (b *Backend) replayAll() {
 }
 
 // readArea reads n logical bytes starting at abs from a circular area,
-// splitting around the wrap point.
-func (b *Backend) readArea(area logrec.Area, abs uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
+// splitting around the wrap point. The bytes land in *scratch, grown when
+// too small and kept: the service loop scans on every kick, and how many
+// kicks coalesce is the host scheduler's choice, so a scan that allocated
+// would make a run's allocation count and volume follow host timing. A
+// nil scratch allocates (callers off the service goroutine).
+func (b *Backend) readArea(scratch *[]byte, area logrec.Area, abs uint64, n int) ([]byte, error) {
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	out := (*scratch)[:n]
 	pos := 0
 	for _, r := range area.Split(abs, n) {
 		if err := b.dev.ReadAt(r.DevOff, out[pos:pos+r.Len]); err != nil {
@@ -251,7 +262,7 @@ func (b *Backend) replaySlot(ds *dsReplay) (SlotStatus, error) {
 			n = int(ds.memArea.Size)
 		}
 		lpn := ds.lpn.Load()
-		buf, err := b.readArea(ds.memArea, lpn, n)
+		buf, err := b.readArea(&b.memScan, ds.memArea, lpn, n)
 		if err != nil {
 			return status, err
 		}
@@ -385,7 +396,7 @@ func (b *Backend) applyEntries(ds *dsReplay, entries []logrec.MemEntry) error {
 		e := &entries[i]
 		val := e.Value
 		if e.Flag == logrec.FlagOpRef {
-			val, err = b.readArea(ds.opArea, e.OpAbs+logrec.ParamsWireOff+uint64(e.SrcOff), int(e.Len))
+			val, err = b.readArea(&b.refVal, ds.opArea, e.OpAbs+logrec.ParamsWireOff+uint64(e.SrcOff), int(e.Len))
 			if err != nil {
 				return err
 			}
@@ -495,7 +506,7 @@ func (b *Backend) archiveOps(ds *dsReplay) {
 		if uint64(n) > ds.opArea.Size {
 			n = int(ds.opArea.Size)
 		}
-		buf, err := b.readArea(ds.opArea, ds.opSeen, n)
+		buf, err := b.readArea(&b.opScan, ds.opArea, ds.opSeen, n)
 		if err != nil {
 			b.setErr(err)
 			return
@@ -566,7 +577,7 @@ func (b *Backend) PendingOps(slot uint16) ([]logrec.OpRecord, error) {
 		if uint64(n) > ds.opArea.Size {
 			n = int(ds.opArea.Size)
 		}
-		buf, err := b.readArea(ds.opArea, abs, n)
+		buf, err := b.readArea(nil, ds.opArea, abs, n)
 		if err != nil {
 			return nil, err
 		}

@@ -353,43 +353,46 @@ func table3Configs() []configCell {
 	}
 }
 
-// measureCell runs one (benchmark, config) cell and returns its KOPS.
-func measureCell(name string, cfg configCell, sc Scale, writePct int) (float64, error) {
+// measureCell runs one (benchmark, config) cell and returns its row, the
+// caller's coordinates left blank: KOPS, and in Extra what the front-end
+// put on the fabric per operation (write_b_per_op, from the BytesWrite
+// counter over the measured window — the cost ROADMAP item 6 tracks).
+func measureCell(name string, cfg configCell, sc Scale, writePct int) (Row, error) {
 	opts := ds.Options{Create: benchCreateOpts(), Buckets: 1 << 14}
+	var conn *core.Conn
 	if cfg.symmetric {
 		node, err := symmetric.New(512 << 20)
 		if err != nil {
-			return 0, err
+			return Row{}, err
 		}
 		defer node.Stop()
-		conn, err := node.Client(1, cfg.mode.Batch)
-		if err != nil {
-			return 0, err
+		if conn, err = node.Client(1, cfg.mode.Batch); err != nil {
+			return Row{}, err
 		}
-		h, err := buildKV(conn, name, sc, opts)
+	} else {
+		cl, err := newAsymCluster(512 << 20)
 		if err != nil {
-			return 0, err
+			return Row{}, err
 		}
-		return h.run(sc.Ops, writePct)
+		defer cl.Stop()
+		mode := cfg.mode
+		if cfg.cachePct > 0 {
+			mode.CacheBytes = cacheBytesFor(name, sc.Seed, cfg.cachePct)
+		}
+		_, conns, err := cl.NewFrontend(1, mode)
+		if err != nil {
+			return Row{}, err
+		}
+		conn = conns[0]
 	}
-	cl, err := newAsymCluster(512 << 20)
+	h, err := buildKV(conn, name, sc, opts)
 	if err != nil {
-		return 0, err
+		return Row{}, err
 	}
-	defer cl.Stop()
-	mode := cfg.mode
-	if cfg.cachePct > 0 {
-		mode.CacheBytes = cacheBytesFor(name, sc.Seed, cfg.cachePct)
-	}
-	_, conns, err := cl.NewFrontend(1, mode)
-	if err != nil {
-		return 0, err
-	}
-	h, err := buildKV(conns[0], name, sc, opts)
-	if err != nil {
-		return 0, err
-	}
-	return h.run(sc.Ops, writePct)
+	written := h.fe.Stats().BytesWrite.Load()
+	kops, err := h.run(sc.Ops, writePct)
+	written = h.fe.Stats().BytesWrite.Load() - written
+	return Row{KOPS: kops, Extra: map[string]float64{"write_b_per_op": float64(written) / float64(sc.Ops)}}, err
 }
 
 func benchCreateOpts() core.CreateOptions {

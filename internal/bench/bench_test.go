@@ -53,12 +53,12 @@ func TestTable3CellLadder(t *testing.T) {
 		if cfg.symmetric || !supportsConfig("BST", cfg.series) {
 			continue
 		}
-		kops, err := measureCell("BST", cfg, sc, 100)
+		row, err := measureCell("BST", cfg, sc, 100)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.series, err)
 		}
-		t.Logf("BST %-14s %8.1f KOPS", cfg.series, kops)
-		got = append(got, kops)
+		t.Logf("BST %-14s %8.1f KOPS %6.0f B written/op", cfg.series, row.KOPS, row.Extra["write_b_per_op"])
+		got = append(got, row.KOPS)
 	}
 	// got = [naive, R, RC, RCB]
 	if !(got[3] > got[0]*2) {
@@ -71,14 +71,14 @@ func TestTable3CellLadder(t *testing.T) {
 
 func TestSymmetricCellRuns(t *testing.T) {
 	sc := tiny()
-	kops, err := measureCell("BST", configCell{series: "Symmetric", symmetric: true, mode: symMode(1)}, sc, 100)
+	row, err := measureCell("BST", configCell{series: "Symmetric", symmetric: true, mode: symMode(1)}, sc, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kops <= 0 {
+	if row.KOPS <= 0 {
 		t.Fatal("symmetric cell produced no throughput")
 	}
-	t.Logf("symmetric BST %.1f KOPS", kops)
+	t.Logf("symmetric BST %.1f KOPS", row.KOPS)
 }
 
 func TestCacheBenchShapes(t *testing.T) {

@@ -26,11 +26,12 @@ func Table3(sc Scale) ([]Row, error) {
 			if !supportsConfig(name, cfg.series) {
 				continue
 			}
-			kops, err := measureCell(name, cfg, sc, 100)
+			row, err := measureCell(name, cfg, sc, 100)
 			if err != nil {
 				return nil, fmt.Errorf("table3 %s/%s: %w", name, cfg.series, err)
 			}
-			rows = append(rows, Row{Experiment: "table3", Series: cfg.series, Label: name, KOPS: kops})
+			row.Experiment, row.Series, row.Label = "table3", cfg.series, name
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -193,11 +194,12 @@ func Fig6BatchSize(sc Scale, batches []int) ([]Row, error) {
 				mode:     core.ModeRCB(0, b),
 				cachePct: 10,
 			}
-			kops, err := measureCell(name, cfg, sc, 100)
+			row, err := measureCell(name, cfg, sc, 100)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s b=%d: %w", name, b, err)
 			}
-			rows = append(rows, Row{Experiment: "fig6", Series: name, X: float64(b), KOPS: kops})
+			row.Experiment, row.Series, row.X = "fig6", name, float64(b)
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -210,11 +212,12 @@ func Fig7CacheSize(sc Scale) ([]Row, error) {
 	for _, name := range []string{"BPT", "BST", "SkipList", "TX(TATP)", "MV-BPT", "MV-BST", "HashTable", "TX(SmallBank)"} {
 		for _, pct := range []float64{1, 5, 10, 20} {
 			cfg := configCell{mode: core.ModeRC(0), cachePct: pct}
-			kops, err := measureCell(name, cfg, sc, 100)
+			row, err := measureCell(name, cfg, sc, 100)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 %s %.0f%%: %w", name, pct, err)
 			}
-			rows = append(rows, Row{Experiment: "fig7", Series: name, X: pct, KOPS: kops})
+			row.Experiment, row.Series, row.X = "fig7", name, pct
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -7,6 +7,7 @@ import (
 
 	"asymnvm/internal/backend"
 	"asymnvm/internal/clock"
+	"asymnvm/internal/logrec"
 	"asymnvm/internal/nvm"
 	"asymnvm/internal/rdma"
 	"asymnvm/internal/stats"
@@ -837,5 +838,181 @@ func TestAbortDropsInFlightState(t *testing.T) {
 	got, _ = h.Read(n2, 32, false)
 	if got[0] != 3 {
 		t.Fatalf("write after abort lost: %v", got)
+	}
+}
+
+// TestWriteRangesLogsTheDiff pins what a ranged write puts in the memory
+// log — one entry per dirty range, neighbours within an entry header of
+// each other merged — against what it does to everything else, which is
+// exactly what Write does: one overlay unit, one flush-mark reference.
+func TestWriteRangesLogsTheDiff(t *testing.T) {
+	if hdr := (&logrec.MemEntry{Flag: logrec.FlagInline}).EncodedLen(); hdr != mergeGap {
+		t.Fatalf("mergeGap is %d, an inline entry's header %d bytes", mergeGap, hdr)
+	}
+	r := newRig(t, 16<<20)
+	h, err := r.connect(r.frontend(1, ModeRCB(1<<20, 1000))).Create("ranges", backend.TypeBST, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, _ := h.Alloc(128)
+	img := bytes.Repeat([]byte{7}, 128)
+	cases := []struct {
+		name  string
+		dirty []Range
+		want  []Range // logged entries, as offsets into the unit; nil = an error
+	}{
+		{"one range", []Range{{8, 8}}, []Range{{8, 8}}},
+		{"gap of a header merges", []Range{{0, 8}, {21, 8}}, []Range{{0, 29}}},
+		{"gap of a header and a byte splits", []Range{{0, 8}, {22, 8}}, []Range{{0, 8}, {22, 8}}},
+		{"overlap and containment merge", []Range{{0, 40}, {10, 8}, {30, 20}}, []Range{{0, 50}}},
+		{"empty ranges are skipped", []Range{{0, 0}, {64, 4}, {100, 0}, {120, 8}}, []Range{{64, 4}, {120, 8}}},
+		{"no dirty byte logs nothing", []Range{{5, 0}}, []Range{}},
+		{"descending", []Range{{64, 8}, {0, 8}}, nil},
+		{"past the unit", []Range{{124, 8}}, nil},
+	}
+	for _, tc := range cases {
+		before, marks := len(h.pending), len(h.pendingAddrs)
+		err := h.WriteRanges(unit, img, tc.dirty...)
+		got := h.pending[before:]
+		if tc.want == nil {
+			if err == nil || len(got) != 0 || len(h.pendingAddrs) != marks {
+				t.Fatalf("%s: err=%v with %d entries logged, want an error and none", tc.name, err, len(got))
+			}
+			continue
+		}
+		if err != nil || len(got) != len(tc.want) {
+			t.Fatalf("%s: err=%v, %d entries, want %d", tc.name, err, len(got), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if e := got[i]; e.Addr != unit+uint64(w.Off) || int(e.Len) != w.Len || !bytes.Equal(e.Value, img[w.Off:w.Off+w.Len]) {
+				t.Fatalf("%s: entry %d is {+%d,%d}, want %+v", tc.name, i, e.Addr-unit, e.Len, w)
+			}
+		}
+		if refs := len(h.pendingAddrs) - marks; refs != min(1, len(tc.want)) {
+			t.Fatalf("%s: %d overlay references taken, want one per call that logs", tc.name, refs)
+		}
+	}
+	if oe := h.overlay[unit]; oe == nil || !bytes.Equal(oe.data, img) {
+		t.Fatal("the overlay does not hold the whole unit")
+	}
+	if err := h.VerifyOverlay(); err == nil {
+		t.Fatal("VerifyOverlay passed a unit whose bytes 50..63 changed unlogged")
+	}
+	// Log the rest; now the diff adds up to the unit.
+	if err := h.Write(unit, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.VerifyOverlay(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteRangesPointerForm: a ranged entry of a unit that sits in an op
+// record points at its own part of it.
+func TestWriteRangesPointerForm(t *testing.T) {
+	r := newRig(t, 16<<20)
+	h, err := r.connect(r.frontend(1, ModeRCB(1<<20, 8))).Create("ptr", backend.TypeBST, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, _ := h.Alloc(64)
+	params := append([]byte("12345678"), bytes.Repeat([]byte{3}, 64)...)
+	abs, err := h.OpLog(1, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.write(unit, params[8:], []Range{{16, 8}, {48, 16}}, abs, 8, true); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []Range{{16, 8}, {48, 16}} {
+		e := h.pending[i]
+		if e.Flag != logrec.FlagOpRef || e.OpAbs != abs || int(e.SrcOff) != 8+w.Off || e.Addr != unit+uint64(w.Off) || int(e.Len) != w.Len {
+			t.Fatalf("entry %d = %+v, want a pointer to op %d +%d for %+v", i, e, abs, 8+w.Off, w)
+		}
+	}
+	if err := h.EndOp(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.ReadUncached(unit, 64)
+	want := make([]byte, 64)
+	copy(want[16:24], params[8+16:])
+	copy(want[48:], params[8+48:])
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replayed unit %v (err %v), want the two ranges over zeroes", got, err)
+	}
+}
+
+// TestNaiveModeWritesRangesWhole: the baseline has no log to carry a diff,
+// so a ranged write is its whole-unit in-place write.
+func TestNaiveModeWritesRangesWhole(t *testing.T) {
+	r := newRig(t, 16<<20)
+	fe := r.frontend(1, ModeNaive())
+	h, err := r.connect(fe).Create("naive", backend.TypeBST, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, _ := h.Alloc(64)
+	before := fe.Stats().BytesWrite.Load()
+	val := bytes.Repeat([]byte{9}, 64)
+	if err := h.WriteRanges(node, val, Range{Off: 8, Len: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if n := fe.Stats().BytesWrite.Load() - before; n != 64 {
+		t.Fatalf("naive ranged write put %d bytes on the fabric, want the 64-byte unit", n)
+	}
+	if got, err := h.Read(node, 64, false); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("naive read-back failed: %v", err)
+	}
+}
+
+// TestMaintenanceNeverStacks: a flush pays the hint persist (two atomic
+// stores) or the overlay prune (one atomic load of the LPN), never both — a
+// prune that falls due on a hint flush runs on the next one. The flush
+// counter is set so that the 49th mark, the first to make a prune due,
+// lands on a hint flush.
+func TestMaintenanceNeverStacks(t *testing.T) {
+	r := newRig(t, 16<<20)
+	fe := r.frontend(1, ModeR())
+	h, err := r.connect(fe).Create("maint", backend.TypeBST, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit, _ := h.Alloc(64)
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	h.flushCnt = hintEvery - 1 // hints on flushes 1, 17, 33, 49
+	st, img := fe.Stats(), make([]byte, 64)
+	flush := func(i int) (atomics int64) {
+		img[0] = byte(i)
+		if err := h.Write(unit, img); err != nil {
+			t.Fatal(err)
+		}
+		before := st.RDMAAtomic.Load()
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return st.RDMAAtomic.Load() - before
+	}
+	for i := 1; i <= pruneMarks; i++ {
+		want := int64(0)
+		if i%hintEvery == 1 {
+			want = 2
+		}
+		if got := flush(i); got != want {
+			t.Fatalf("flush %d: %d atomic verbs, want %d", i, got, want)
+		}
+	}
+	if got := flush(pruneMarks + 1); got != 2 || len(h.marks) != pruneMarks+1 {
+		t.Fatalf("hint flush with a prune due: %d atomic verbs, %d marks; want the two hint stores alone", got, len(h.marks))
+	}
+	if err := h.waitReplayed(true); err != nil {
+		t.Fatal(err)
+	}
+	if got := flush(pruneMarks + 2); got != 1 || len(h.marks) > 1 {
+		t.Fatalf("flush after it: %d atomic verbs, %d marks; want the deferred prune's LPN load", got, len(h.marks))
 	}
 }

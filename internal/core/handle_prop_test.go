@@ -8,9 +8,10 @@ import (
 	"asymnvm/internal/backend"
 )
 
-// TestQuickHandleShadow drives random unit writes and reads through a
-// writer handle, checking every read against a shadow map, across flushes
-// and drains — the core read-your-writes / overlay / replay contract.
+// TestQuickHandleShadow drives random unit writes — whole, and ranged
+// rewrites of a few bytes — and reads through a writer handle, checking
+// every read against a shadow map, across flushes and drains — the core
+// read-your-writes / overlay / replay contract.
 func TestQuickHandleShadow(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -35,7 +36,7 @@ func TestQuickHandleShadow(t *testing.T) {
 			shadow := map[uint64][]byte{}
 			for step := 0; step < 400; step++ {
 				u := units[rng.Intn(len(units))]
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0, 1: // write
 					v := make([]byte, 64)
 					rng.Read(v)
@@ -43,6 +44,29 @@ func TestQuickHandleShadow(t *testing.T) {
 						t.Fatal(err)
 					}
 					if err := h.Write(u, v); err != nil {
+						t.Fatal(err)
+					}
+					if err := h.EndOp(); err != nil {
+						t.Fatal(err)
+					}
+					shadow[u] = v
+				case 4: // rewrite up to three ranges of a unit written before
+					old, ok := shadow[u]
+					if !ok {
+						continue
+					}
+					v := append([]byte(nil), old...)
+					var dirty []Range
+					for off := rng.Intn(24); off < 64 && len(dirty) < 3; off += rng.Intn(32) {
+						r := Range{Off: off, Len: rng.Intn(min(12, 64-off) + 1)}
+						rng.Read(v[r.Off : r.Off+r.Len])
+						dirty = append(dirty, r)
+						off += r.Len
+					}
+					if _, err := h.OpLog(1, v); err != nil {
+						t.Fatal(err)
+					}
+					if err := h.WriteRanges(u, v, dirty...); err != nil {
 						t.Fatal(err)
 					}
 					if err := h.EndOp(); err != nil {
@@ -63,11 +87,17 @@ func TestQuickHandleShadow(t *testing.T) {
 					}
 				case 3: // occasionally force full persistence
 					if step%7 == 0 {
+						if err := h.VerifyOverlay(); err != nil {
+							t.Fatal(err)
+						}
 						if err := h.Drain(); err != nil {
 							t.Fatal(err)
 						}
 					}
 				}
+			}
+			if err := h.VerifyOverlay(); err != nil {
+				t.Fatal(err)
 			}
 			if err := h.Drain(); err != nil {
 				t.Fatal(err)

@@ -509,17 +509,9 @@ func (h *Handle) finish2PC(aborted bool) {
 		h.undoLog = h.undoLog[:0]
 		h.undoArena = h.undoArena[:0]
 	}
-	h.pending = nil
-	h.pendingAddrs = nil
+	h.clearPending()
 	h.opsInTx = 0
 	h.flushCnt++
 	h.hold2pc = false
-	if len(h.marks) > pruneMarks {
-		_ = h.pruneOverlay()
-	}
-	if h.flushCnt%hintEvery == 0 {
-		h.persistHints()
-	}
-	h.releaseDueGC()
-	h.gcTxStart = len(h.gcList)
+	_ = h.maintain()
 }

@@ -36,33 +36,44 @@ type BPTree struct {
 }
 
 // bptNodeT is the in-memory image; the arrays carry one overflow slot so
-// an insert can exceed the wire capacity momentarily before splitting.
+// an insert can exceed the wire capacity momentarily before splitting. img
+// is the unit the node was decoded from (nil for a node built in memory):
+// an in-place rewrite patches it, so the slots it leaves alone — the stale
+// ones past n included — stay byte for byte what NVM holds.
 type bptNodeT struct {
 	n      int
 	isLeaf bool
 	next   uint64
 	keys   [bptMaxKeys + 1]uint64
 	ptrs   [bptMaxKids + 1]uint64
+	img    []byte
 }
 
-func encodeBPT(n *bptNodeT) []byte {
-	buf := make([]byte, bptNode)
+// encodeInto writes the header and the key slots [keys[0], keys[1]) and
+// pointer slots [ptrs[0], ptrs[1]) of n over the unit image buf.
+func (n *bptNodeT) encodeInto(buf []byte, keys, ptrs [2]int) {
 	binary.LittleEndian.PutUint16(buf, uint16(n.n))
+	buf[2] = 0
 	if n.isLeaf {
 		buf[2] = 1
 	}
 	binary.LittleEndian.PutUint64(buf[8:], n.next)
-	for i := 0; i < bptMaxKeys; i++ {
+	for i := keys[0]; i < keys[1]; i++ {
 		binary.LittleEndian.PutUint64(buf[bptKeysOff+8*i:], n.keys[i])
 	}
-	for i := 0; i < bptMaxKids; i++ {
+	for i := ptrs[0]; i < ptrs[1]; i++ {
 		binary.LittleEndian.PutUint64(buf[bptPtrsOff+8*i:], n.ptrs[i])
 	}
+}
+
+func encodeBPT(n *bptNodeT) []byte {
+	buf := make([]byte, bptNode)
+	n.encodeInto(buf, [2]int{0, bptMaxKeys}, [2]int{0, bptMaxKids})
 	return buf
 }
 
 func decodeBPT(buf []byte) (*bptNodeT, error) {
-	n := &bptNodeT{}
+	n := &bptNodeT{img: buf}
 	n.n = int(binary.LittleEndian.Uint16(buf))
 	n.isLeaf = buf[2] == 1
 	n.next = binary.LittleEndian.Uint64(buf[8:])
@@ -144,6 +155,25 @@ func (t *BPTree) readNode(addr uint64, depth int) (*bptNodeT, error) {
 
 func (t *BPTree) writeNode(addr uint64, n *bptNodeT) error {
 	return t.h.Write(addr, encodeBPT(n))
+}
+
+// Header bytes an in-place rewrite dirties: the count alone, or — the kept
+// half of a leaf split — through the next pointer.
+const (
+	bptHdrCount = 2
+	bptHdrNext  = bptHdr
+)
+
+// patchNode logs an in-place change to a node this operation read and then
+// changed in memory: the header and the named key and pointer slots are
+// encoded over the image the node was decoded from, and the log carries
+// only them and hdr leading header bytes.
+func (t *BPTree) patchNode(addr uint64, n *bptNodeT, hdr int, keys, ptrs [2]int) error {
+	n.encodeInto(n.img, keys, ptrs)
+	return t.h.WriteRanges(addr, n.img,
+		core.Range{Off: 0, Len: hdr},
+		core.Range{Off: bptKeysOff + 8*keys[0], Len: 8 * (keys[1] - keys[0])},
+		core.Range{Off: bptPtrsOff + 8*ptrs[0], Len: 8 * (ptrs[1] - ptrs[0])})
 }
 
 // blobParams encodes {key, blob image} op-log parameters: the blob image
@@ -279,9 +309,9 @@ func (t *BPTree) insert(addr uint64, depth int, key uint64, val []byte, opAbs ui
 		n.ptrs[pos] = blob
 		n.n++
 		if n.n <= bptMaxKeys {
-			return 0, 0, t.writeNode(addr, n)
+			return 0, 0, t.patchNode(addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos, n.n})
 		}
-		return t.splitLeaf(addr, n)
+		return t.splitLeaf(addr, n, pos)
 	}
 	// Internal: pick the child.
 	pos := searchKeys(n, key)
@@ -303,9 +333,9 @@ func (t *BPTree) insert(addr uint64, depth int, key uint64, val []byte, opAbs ui
 	n.ptrs[pos+1] = newChild
 	n.n++
 	if n.n <= bptMaxKeys {
-		return 0, 0, t.writeNode(addr, n)
+		return 0, 0, t.patchNode(addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos + 1, n.n + 1})
 	}
-	return t.splitInternal(addr, n)
+	return t.splitInternal(addr, n, pos)
 }
 
 // searchKeys returns the first index with keys[i] >= key.
@@ -326,8 +356,10 @@ func searchKeys(n *bptNodeT, key uint64) int {
 // has already placed the extra entry; n.n == bptMaxKeys+1 is represented
 // by n.n and the arrays holding one overflow in their last slot — to keep
 // the fixed layout, the split runs on the in-memory image before any
-// write happens.
-func (t *BPTree) splitLeaf(addr uint64, n *bptNodeT) (uint64, uint64, error) {
+// write happens. The right half is a new unit; the kept half changes its
+// header and, if the entry went in at pos below the split point, the slots
+// the insert shifted — the moved-out slots stay behind as stale bytes.
+func (t *BPTree) splitLeaf(addr uint64, n *bptNodeT, pos int) (uint64, uint64, error) {
 	mid := n.n / 2
 	right := &bptNodeT{isLeaf: true, next: n.next}
 	right.n = n.n - mid
@@ -344,13 +376,14 @@ func (t *BPTree) splitLeaf(addr uint64, n *bptNodeT) (uint64, uint64, error) {
 	if err := t.writeNode(rAddr, right); err != nil {
 		return 0, 0, err
 	}
-	if err := t.writeNode(addr, n); err != nil {
+	lo := min(pos, mid)
+	if err := t.patchNode(addr, n, bptHdrNext, [2]int{lo, mid}, [2]int{lo, mid}); err != nil {
 		return 0, 0, err
 	}
 	return right.keys[0], rAddr, nil
 }
 
-func (t *BPTree) splitInternal(addr uint64, n *bptNodeT) (uint64, uint64, error) {
+func (t *BPTree) splitInternal(addr uint64, n *bptNodeT, pos int) (uint64, uint64, error) {
 	mid := n.n / 2
 	promo := n.keys[mid]
 	right := &bptNodeT{}
@@ -369,7 +402,8 @@ func (t *BPTree) splitInternal(addr uint64, n *bptNodeT) (uint64, uint64, error)
 	if err := t.writeNode(rAddr, right); err != nil {
 		return 0, 0, err
 	}
-	if err := t.writeNode(addr, n); err != nil {
+	lo := min(pos, mid)
+	if err := t.patchNode(addr, n, bptHdrCount, [2]int{lo, mid}, [2]int{lo + 1, mid + 1}); err != nil {
 		return 0, 0, err
 	}
 	return promo, rAddr, nil

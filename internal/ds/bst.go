@@ -19,6 +19,23 @@ import (
 // Node layout: {key u64, left u64, right u64, vlen u32, pad, value[cap]}.
 const bstHdr = 32
 
+// The parts of a node an in-place rewrite can dirty (core.Handle.WriteRanges).
+var (
+	bstLeft  = core.Range{Off: 8, Len: 8}
+	bstRight = core.Range{Off: 16, Len: 8}
+)
+
+// bstValue is what replacing a value of old bytes by one of new dirties:
+// the value bytes out to the longer of the two (the unit is zero past its
+// value) and, if the lengths differ, vlen — one range from there, the pad
+// between them being narrower than an entry header.
+func bstValue(old, new int) core.Range {
+	if old == new {
+		return core.Range{Off: bstHdr, Len: new}
+	}
+	return core.Range{Off: 24, Len: bstHdr - 24 + max(old, new)}
+}
+
 // BST is a persistent binary search tree.
 type BST struct {
 	kvBase
@@ -114,24 +131,23 @@ func (t *BST) Put(key uint64, val []byte) error {
 	if err := t.w.begin(); err != nil {
 		return err
 	}
-	opAbs, err := t.h.OpLog(OpPut, kvParams(key, val))
-	if err != nil {
+	if _, err := t.h.OpLog(OpPut, kvParams(key, val)); err != nil {
 		return err
 	}
-	if err := t.put(key, val, opAbs); err != nil {
+	if err := t.put(key, val); err != nil {
 		return err
 	}
 	t.pol.observe(t.h.Conn().Frontend().Stats())
 	return t.w.end()
 }
 
-func (t *BST) put(key uint64, val []byte, opAbs uint64) error {
+func (t *BST) put(key uint64, val []byte) error {
 	root, err := t.h.ReadRoot()
 	if err != nil {
 		return err
 	}
 	if root == 0 {
-		node, err := t.writeNewNode(key, val, opAbs)
+		node, err := t.writeNewNode(key, val)
 		if err != nil {
 			return err
 		}
@@ -146,24 +162,24 @@ func (t *BST) put(key uint64, val []byte, opAbs uint64) error {
 		}
 		switch {
 		case key == n.key:
-			// Value update: rewrite the node unit in place.
-			return t.writeNode(cur, n.key, n.left, n.right, val, opAbs)
+			// Value update in place.
+			return t.h.WriteRanges(cur, t.encodeNode(n.key, n.left, n.right, val), bstValue(len(n.val), len(val)))
 		case key < n.key:
 			if n.left == 0 {
-				child, err := t.writeNewNode(key, val, opAbs)
+				child, err := t.writeNewNode(key, val)
 				if err != nil {
 					return err
 				}
-				return t.writeNode(cur, n.key, child, n.right, n.val, 0)
+				return t.h.WriteRanges(cur, t.encodeNode(n.key, child, n.right, n.val), bstLeft)
 			}
 			cur = n.left
 		default:
 			if n.right == 0 {
-				child, err := t.writeNewNode(key, val, opAbs)
+				child, err := t.writeNewNode(key, val)
 				if err != nil {
 					return err
 				}
-				return t.writeNode(cur, n.key, n.left, child, n.val, 0)
+				return t.h.WriteRanges(cur, t.encodeNode(n.key, n.left, child, n.val), bstRight)
 			}
 			cur = n.right
 		}
@@ -171,23 +187,13 @@ func (t *BST) put(key uint64, val []byte, opAbs uint64) error {
 	}
 }
 
-// writeNewNode allocates and logs a fresh leaf.
-func (t *BST) writeNewNode(key uint64, val []byte, opAbs uint64) (uint64, error) {
+// writeNewNode allocates and logs a fresh leaf, a whole unit.
+func (t *BST) writeNewNode(key uint64, val []byte) (uint64, error) {
 	node, err := t.h.Alloc(t.nodeSize())
 	if err != nil {
 		return 0, err
 	}
-	return node, t.writeNode(node, key, 0, 0, val, opAbs)
-}
-
-// writeNode logs a whole node unit; when the value bytes came from the
-// current op-log record the entry uses the pointer form for the value-
-// bearing node (here the whole node is one unit, so the inline form is
-// used unless the node is exactly the value payload — we pass opAbs
-// through for structures that split value blobs out).
-func (t *BST) writeNode(addr uint64, key, left, right uint64, val []byte, opAbs uint64) error {
-	_ = opAbs
-	return t.h.Write(addr, t.encodeNode(key, left, right, val))
+	return node, t.h.Write(node, t.encodeNode(key, 0, 0, val))
 }
 
 // Get looks up a key under the retry seqlock.
@@ -260,7 +266,7 @@ func (t *BST) VectorPut(keys []uint64, vals [][]byte) error {
 	}
 	if root == 0 {
 		mid := len(sk) / 2
-		node, err := t.writeNewNode(sk[mid], sv[mid], 0)
+		node, err := t.writeNewNode(sk[mid], sv[mid])
 		if err != nil {
 			return err
 		}
@@ -270,7 +276,7 @@ func (t *BST) VectorPut(keys []uint64, vals [][]byte) error {
 		rest := append(append([][]byte{}, sv[:mid]...), sv[mid+1:]...)
 		restK := append(append([]uint64{}, sk[:mid]...), sk[mid+1:]...)
 		for i := range restK {
-			if err := t.put(restK[i], rest[i], 0); err != nil {
+			if err := t.put(restK[i], rest[i]); err != nil {
 				return err
 			}
 		}
@@ -286,7 +292,8 @@ func (t *BST) VectorPut(keys []uint64, vals [][]byte) error {
 // vectorInsert splits the sorted run around each node's key and recurses,
 // the queue-driven descent of Algorithm 3. The node's in-memory image
 // accumulates every change (value update, new children) and is written
-// once, so the coalesced memory log carries its final state.
+// once, so the coalesced memory log carries its final state — of the
+// parts that changed.
 func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte) error {
 	if len(keys) == 0 {
 		return nil
@@ -297,11 +304,11 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 	}
 	mid := sort.Search(len(keys), func(i int) bool { return keys[i] >= n.key })
 	hi := mid
-	dirty := false
+	var dirty [3]core.Range // left, right, value: ascending, empty if clean
 	if hi < len(keys) && keys[hi] == n.key {
+		dirty[2] = bstValue(len(n.val), len(vals[hi]))
 		n.val = vals[hi] // exact match: update in place
 		hi++
-		dirty = true
 	}
 	left, lv := keys[:mid], vals[:mid]
 	right, rv := keys[hi:], vals[hi:]
@@ -314,12 +321,12 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 	if len(left) > 0 {
 		if n.left == 0 {
 			m := len(left) / 2
-			child, err := t.writeNewNode(left[m], lv[m], 0)
+			child, err := t.writeNewNode(left[m], lv[m])
 			if err != nil {
 				return err
 			}
 			n.left = child
-			dirty = true
+			dirty[0] = bstLeft
 			restK := append(append([]uint64{}, left[:m]...), left[m+1:]...)
 			restV := append(append([][]byte{}, lv[:m]...), lv[m+1:]...)
 			descend = append(descend, pendingDescent{child, restK, restV})
@@ -330,12 +337,12 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 	if len(right) > 0 {
 		if n.right == 0 {
 			m := len(right) / 2
-			child, err := t.writeNewNode(right[m], rv[m], 0)
+			child, err := t.writeNewNode(right[m], rv[m])
 			if err != nil {
 				return err
 			}
 			n.right = child
-			dirty = true
+			dirty[1] = bstRight
 			restK := append(append([]uint64{}, right[:m]...), right[m+1:]...)
 			restV := append(append([][]byte{}, rv[:m]...), rv[m+1:]...)
 			descend = append(descend, pendingDescent{child, restK, restV})
@@ -343,8 +350,8 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 			descend = append(descend, pendingDescent{n.right, right, rv})
 		}
 	}
-	if dirty {
-		if err := t.writeNode(node, n.key, n.left, n.right, n.val, 0); err != nil {
+	if dirty != ([3]core.Range{}) {
+		if err := t.h.WriteRanges(node, t.encodeNode(n.key, n.left, n.right, n.val), dirty[:]...); err != nil {
 			return err
 		}
 	}
@@ -357,7 +364,7 @@ func (t *BST) vectorInsert(node uint64, depth int, keys []uint64, vals [][]byte)
 }
 
 var bstReplay = replayTable[*BST]{
-	put:  func(t *BST, key uint64, val []byte) error { return t.put(key, val, 0) },
+	put:  (*BST).put,
 	many: true,
 }
 

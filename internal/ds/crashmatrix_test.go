@@ -41,6 +41,20 @@ import (
 // deterministic verb sequence (zero-cost profile, batch 1, no pipeline)
 // that a fresh identically-seeded instance produces.
 
+// verifyOverlays fails the test if a unit in any of the handles' overlays
+// differs from what the replayer made of its logs (core.Handle.VerifyOverlay):
+// a byte some put — the cell's seeding, its probe, or recovery's
+// re-execution of it — changed without logging it. Run before Drain, which
+// retires the overlay.
+func verifyOverlays(t *testing.T, hs ...*core.Handle) {
+	t.Helper()
+	for _, h := range hs {
+		if err := h.VerifyOverlay(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // crashCase describes one structure's row in the matrix.
 type crashCase struct {
 	name string
@@ -236,6 +250,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		kvCrashCase("BPTree"),
 		kvCrashCase("MVBST"),
 		kvCrashCase("MVBPTree"),
+		rangedTxCrashCase(),
 		partitionedCrashCase(),
 		stripedCrashCase(),
 	}
@@ -323,6 +338,7 @@ func TestTruncationCrashMidApply(t *testing.T) {
 		kvCrashCase("BPTree"),
 		kvCrashCase("MVBST"),
 		kvCrashCase("MVBPTree"),
+		rangedTxCrashCase(),
 		partitionedCrashCase(),
 		stripedCrashCase(),
 	}
@@ -427,6 +443,7 @@ func stackCrashCase() crashCase {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, s.Handle())
 			if err := s.Drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -437,6 +454,7 @@ func stackCrashCase() crashCase {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			verifyOverlays(t, s.Handle())
 			if err := s.Drain(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -480,6 +498,7 @@ func queueCrashCase() crashCase {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, q.Handle())
 			if err := q.Drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -490,6 +509,7 @@ func queueCrashCase() crashCase {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			verifyOverlays(t, q.Handle())
 			if err := q.Drain(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -519,6 +539,7 @@ func queueCrashCase() crashCase {
 type kvCrash interface {
 	Put(key uint64, val []byte) error
 	Get(key uint64) ([]byte, bool, error)
+	Handle() *core.Handle
 	Drain() error
 }
 
@@ -592,6 +613,7 @@ func partitionedCrashCase() crashCase {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, p.Handles()...)
 			if err := p.DrainAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -621,6 +643,7 @@ func partitionedCrashCase() crashCase {
 			if got := p.Shards(); got != parts {
 				t.Fatalf("mapping meta reports %d partitions, want %d", got, parts)
 			}
+			verifyOverlays(t, p.Handles()...)
 			if err := p.DrainAll(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -786,6 +809,7 @@ func kvCrashCase(kind string) crashCase {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, kv.Handle())
 			if err := kv.Drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -796,6 +820,7 @@ func kvCrashCase(kind string) crashCase {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			verifyOverlays(t, kv.Handle())
 			if err := kv.Drain(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
@@ -841,6 +866,113 @@ func kvCrashCase(kind string) crashCase {
 	}
 }
 
+// rangedTxCrashCase is the row for a transaction of ranged entries
+// (core.Handle.WriteRanges) with no structure around it: one operation
+// rewrites two drained units, three separated ranges of one and two of the
+// other, so its commit record carries five entries that each patch part of
+// a unit NVM already holds. Dying at any segment of the commit must leave
+// every byte of both units as it was, or — once the op record is sealed,
+// through re-execution — every range of both applied: a unit that mixes the
+// two images is a range applied without its siblings.
+func rangedTxCrashCase() crashCase {
+	const name, unitLen = "RangedTx", 256
+	dirty := [2][]core.Range{
+		{{Off: 0, Len: 8}, {Off: 96, Len: 40}, {Off: 250, Len: 6}},
+		{{Off: 30, Len: 2}, {Off: 128, Len: 64}},
+	}
+	var units [2]uint64
+	image := func(u int, after bool) []byte {
+		img := bytes.Repeat([]byte{byte(0x10 + u)}, unitLen)
+		if after {
+			for _, r := range dirty[u] {
+				copy(img[r.Off:r.Off+r.Len], bytes.Repeat([]byte{byte(0xA0 + u)}, r.Len))
+			}
+		}
+		return img
+	}
+	rewrite := func(h *core.Handle) error {
+		for u, addr := range units {
+			if err := h.WriteRanges(addr, image(u, true), dirty[u]...); err != nil {
+				return err
+			}
+		}
+		return h.EndOp()
+	}
+	return crashCase{
+		name: name,
+		build: func(t *testing.T, c *core.Conn) func() error {
+			h, err := c.Create(name, backend.TypeApp, testCreate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.WriterLock(); err != nil {
+				t.Fatal(err)
+			}
+			for u := range units {
+				if units[u], err = h.Alloc(unitLen); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.OpLog(OpPut, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.Write(units[u], image(u, false)); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.EndOp(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verifyOverlays(t, h)
+			if err := h.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			return func() error {
+				if _, err := h.OpLog(OpPut, nil); err != nil {
+					return err
+				}
+				return rewrite(h)
+			}
+		},
+		check: func(t *testing.T, c *core.Conn, sealed int) {
+			h, err := c.Open(name, true)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if err := h.WriterLock(); err != nil {
+				t.Fatalf("writer lock: %v", err)
+			}
+			ops, err := h.PendingOps()
+			if err != nil || len(ops) != sealed {
+				t.Fatalf("%d pending ops (err %v), want the %d sealed", len(ops), err, sealed)
+			}
+			for range ops {
+				if err := rewrite(h); err != nil {
+					t.Fatalf("re-execution: %v", err)
+				}
+			}
+			verifyOverlays(t, h)
+			if err := h.Drain(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			applied := 0
+			for u, addr := range units {
+				got, err := h.ReadUncached(addr, unitLen)
+				switch {
+				case err != nil:
+					t.Fatalf("unit %d: %v", u, err)
+				case bytes.Equal(got, image(u, true)):
+					applied++
+				case !bytes.Equal(got, image(u, false)):
+					t.Fatalf("unit %d mixes its two images: some of its ranges applied, some not", u)
+				}
+			}
+			if applied == 1 || applied == 0 && sealed > 0 {
+				t.Fatalf("%d of 2 units rewritten with %d ops sealed: the transaction's ranges applied in part", applied, sealed)
+			}
+		},
+	}
+}
+
 // towerPredCrashCase is the skip-list row for a predecessor the writer
 // knows only by its cached tower. The probe inserts right behind a tall
 // seed node after a drain (overlay retired) and a lookup (tower admitted),
@@ -864,6 +996,7 @@ func towerPredCrashCase() crashCase {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, sl.Handle())
 			if err := sl.Drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -889,6 +1022,7 @@ func towerPredCrashCase() crashCase {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
+			verifyOverlays(t, sl.Handle())
 			if err := sl.Drain(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}

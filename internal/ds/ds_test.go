@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"asymnvm/internal/backend"
@@ -256,6 +257,11 @@ func kvCases() []kvCase {
 	}
 }
 
+// kvHandle returns an index structure's framework handle.
+func kvHandle(kv KV) *core.Handle {
+	return kv.(interface{ Handle() *core.Handle }).Handle()
+}
+
 func TestKVPutGetOracle(t *testing.T) {
 	for _, tc := range kvCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -274,6 +280,11 @@ func TestKVPutGetOracle(t *testing.T) {
 					t.Fatalf("put %d: %v", k, err)
 				}
 				oracle[k] = v
+				// Unbatched, a prune retires the overlay every few dozen puts:
+				// check it against replayed NVM well inside that window.
+				if i%8 == 7 {
+					verifyOverlays(t, kvHandle(kv))
+				}
 			}
 			for k, want := range oracle {
 				got, ok, err := kv.Get(k)
@@ -320,9 +331,7 @@ func TestKVBatchedMatchesOracle(t *testing.T) {
 					t.Fatalf("read-your-writes broken for %d: %v %v", k, ok, err)
 				}
 			}
-			if err := kv.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			verifyOverlays(t, kvHandle(kv))
 			for k, want := range oracle {
 				got, ok, _ := kv.Get(k)
 				if !ok || !bytes.Equal(got, want) {
@@ -347,6 +356,7 @@ func TestKVVisibleToFreshReaderAfterDrain(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			verifyOverlays(t, kvHandle(kv))
 			type drainer interface{ Drain() error }
 			if err := kv.(drainer).Drain(); err != nil {
 				t.Fatal(err)
@@ -390,6 +400,7 @@ func TestHashTableDelete(t *testing.T) {
 	if ok, _ := ht.Delete(1); ok {
 		t.Fatal("double delete succeeded")
 	}
+	verifyOverlays(t, ht.Handle())
 	for i := 1; i <= 100; i++ {
 		_, ok, _ := ht.Get(uint64(i))
 		if i%2 == 1 && ok {
@@ -409,17 +420,31 @@ func TestBPTreeSplitsDeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential keys force a steady stream of splits and root growth.
+	// Sequential keys force a steady stream of splits and root growth, every
+	// one at the right edge of its node; the odd keys then arrive shuffled,
+	// so leaves and internal nodes also insert and split below their
+	// midpoint — the case where the kept half of a split has shifted slots
+	// of its own to log.
 	n := 5000
+	order := make([]int, 0, 2*n)
 	for i := 1; i <= n; i++ {
-		if err := bt.Put(uint64(i), val(i)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
+		order = append(order, 2*i)
+	}
+	for _, i := range rand.New(rand.NewSource(5)).Perm(n) {
+		order = append(order, 2*i+1)
+	}
+	for j, k := range order {
+		if err := bt.Put(uint64(k), val(k)); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+		if j%8 == 7 {
+			verifyOverlays(t, bt.Handle())
 		}
 	}
-	for i := 1; i <= n; i++ {
-		got, ok, err := bt.Get(uint64(i))
-		if err != nil || !ok || !bytes.Equal(got, val(i)) {
-			t.Fatalf("get %d after splits: ok=%v err=%v", i, ok, err)
+	for _, k := range order {
+		got, ok, err := bt.Get(uint64(k))
+		if err != nil || !ok || !bytes.Equal(got, val(k)) {
+			t.Fatalf("get %d after splits: ok=%v err=%v", k, ok, err)
 		}
 	}
 	// Range scan across leaves.
@@ -427,7 +452,7 @@ func TestBPTreeSplitsDeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 50 || keys[0] != 100 || keys[49] != 149 {
+	if len(keys) != 50 || keys[0] != 100 || keys[49] != 149 || !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
 		t.Fatalf("scan wrong: %d keys, first=%d last=%d", len(keys), keys[0], keys[len(keys)-1])
 	}
 	if !bytes.Equal(vals[0], val(100)) {
@@ -473,9 +498,7 @@ func TestBSTVectorPut(t *testing.T) {
 			oracle[k] = uv[i]
 		}
 	}
-	if err := bt.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	verifyOverlays(t, bt.Handle())
 	for k, want := range oracle {
 		got, ok, _ := bt.Get(k)
 		if !ok || !bytes.Equal(got, want) {
@@ -756,11 +779,10 @@ func TestKVRandomizedOracle(t *testing.T) {
 					}
 				}
 				if i == 1000 {
-					if err := kv.Flush(); err != nil {
-						t.Fatal(err)
-					}
+					verifyOverlays(t, kvHandle(kv))
 				}
 			}
+			verifyOverlays(t, kvHandle(kv))
 		})
 	}
 }

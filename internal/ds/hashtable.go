@@ -349,9 +349,9 @@ func (t *HashTable) delete(key uint64) (bool, error) {
 					return false, err
 				}
 			} else {
-				relinked := append([]byte(nil), prevBuf...)
-				binary.LittleEndian.PutUint64(relinked, next)
-				if err := t.h.Write(prev, relinked); err != nil {
+				// Relink the predecessor: of its unit only next changes.
+				binary.LittleEndian.PutUint64(prevBuf, next)
+				if err := t.h.WriteRanges(prev, prevBuf, core.Range{Off: 0, Len: 8}); err != nil {
 					return false, err
 				}
 			}

@@ -139,15 +139,14 @@ func (q *Queue) materializeEnqueue(val []byte) error {
 		return err
 	}
 	if q.tail != 0 {
-		// Re-link the old tail: read it (hot, cached per §8.1) and
-		// rewrite the whole unit with its next pointer set.
+		// Re-link the old tail: read it (hot, cached per §8.1) and set its
+		// next pointer, the one part of the unit that changes.
 		old, err := q.h.Read(q.tail, q.nodeSize(), true)
 		if err != nil {
 			return err
 		}
-		relinked := append([]byte(nil), old...)
-		binary.LittleEndian.PutUint64(relinked, node)
-		if err := q.h.Write(q.tail, relinked); err != nil {
+		binary.LittleEndian.PutUint64(old, node)
+		if err := q.h.WriteRanges(q.tail, old, core.Range{Off: 0, Len: 8}); err != nil {
 			return err
 		}
 	}

@@ -276,8 +276,16 @@ func (s *SkipList) put(key uint64, val []byte) error {
 	}
 	if found != 0 {
 		// Update in place. A tower is enough to rebuild the unit from: the
-		// one thing it lacks is the value being replaced.
-		return s.h.Write(found, s.newUnit(img[:slTower(slLevel(img))], val))
+		// one thing it lacks is the value being replaced, and of that only
+		// the length matters — what changes is vlen, if the lengths differ,
+		// and the value bytes out to the longer of the two.
+		old := slVlen(img)
+		vlen := core.Range{Off: 8, Len: 4}
+		if old == len(val) {
+			vlen.Len = 0
+		}
+		return s.h.WriteRanges(found, s.newUnit(img[:slTower(slLevel(img))], val),
+			vlen, core.Range{Off: slValOff, Len: max(old, len(val))})
 	}
 	lvl := s.randomLevel()
 	var tower [slValOff]byte
@@ -295,11 +303,12 @@ func (s *SkipList) put(key uint64, val []byte) error {
 		return err
 	}
 	// …then swing predecessor pointers bottom-up. Each predecessor is
-	// rewritten once, as a whole unit, with every level it precedes the new
-	// node at (those levels are adjacent). Its value must come along, so a
-	// predecessor the walk saw only as a cached tower is read whole first.
+	// rewritten once, with every level it precedes the new node at (those
+	// levels are adjacent); the log carries just those pointers. The overlay
+	// takes the whole unit, so a predecessor the walk saw only as a cached
+	// tower is read whole first.
 	for i := 0; i < lvl; {
-		pa, unit := s.path.pred[i], s.path.img[i]
+		pa, unit, lo := s.path.pred[i], s.path.img[i], i
 		if len(unit) < s.nodeSize() {
 			if unit, err = s.h.ReadWhole(pa, s.nodeSize()); err != nil {
 				return err
@@ -311,7 +320,7 @@ func (s *SkipList) put(key uint64, val []byte) error {
 		for ; i < lvl && s.path.pred[i] == pa; i++ {
 			slSetNext(unit, i, addr)
 		}
-		if err := s.h.Write(pa, unit); err != nil {
+		if err := s.h.WriteRanges(pa, unit, core.Range{Off: slNextOff + 8*lo, Len: 8 * (i - lo)}); err != nil {
 			return err
 		}
 	}

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+
+	"asymnvm/internal/arena"
 )
 
 // LineSize is the granularity at which a power failure can tear a write.
@@ -33,6 +35,27 @@ type pending struct {
 	old []byte // previous contents, for revert on power failure
 }
 
+// pageSize is the granule of the persistence window's index. A page keeps
+// the index at 1/1024 of the device (a head word per line would be 1/16 of
+// it, all resident) and still separates what matters: the log areas, which
+// are only ever sealed, from the data pages, which are only ever written
+// volatile.
+const pageSize = 4096
+
+// pages returns the pages [off, end) touches, as a half-open range of page
+// numbers: none for an empty range.
+func pages(off, end uint64) (uint64, uint64) {
+	if end <= off {
+		return 0, 0
+	}
+	return off / pageSize, (end + pageSize - 1) / pageSize
+}
+
+// link is one element of a page's chain in the window index: a pending
+// write that touches the page, and the next older one that does (1 + its
+// index in Device.links; 0 ends the chain).
+type link struct{ pend, next int32 }
+
 // Device is a simulated NVM DIMM: a flat byte space with explicit
 // persistence points and power-failure injection.
 //
@@ -41,15 +64,23 @@ type pending struct {
 // the unpersisted writes and may tear the oldest surviving one at a line
 // boundary. All methods are safe for concurrent use.
 type Device struct {
-	mu      sync.RWMutex
-	data    []byte
-	pend    []pending
+	mu   sync.RWMutex
+	data []byte
+	pend []pending
+	undo arena.Arena // backs every pending.old; recycled with the window
+	// The window indexed by page, so that sealing a range costs the pending
+	// writes on its pages and not a scan of the window (which on the lazy
+	// replay plane only drains at a checkpoint): head[p] is 1 + the index in
+	// links of the newest pending write that touches page p. head is sized
+	// once and links is reused, so a steady state allocates nothing.
+	head    []int32
+	links   []link
 	crashes int
 }
 
 // NewDevice creates a device with the given capacity in bytes, zero-filled.
 func NewDevice(size int) *Device {
-	return &Device{data: make([]byte, size)}
+	return &Device{data: make([]byte, size), head: make([]int32, (size+pageSize-1)/pageSize)}
 }
 
 // Size reports the device capacity in bytes.
@@ -87,11 +118,28 @@ func (d *Device) writeLocked(off uint64, data []byte) error {
 	if err := d.check(off, len(data)); err != nil {
 		return err
 	}
-	old := make([]byte, len(data))
-	copy(old, d.data[off:])
-	d.pend = append(d.pend, pending{off: off, old: old})
+	end := off + uint64(len(data))
+	idx := int32(len(d.pend))
+	d.pend = append(d.pend, pending{off: off, old: d.undo.Copy(d.data[off:end])})
+	for pg, stop := pages(off, end); pg < stop; pg++ {
+		d.links = append(d.links, link{pend: idx, next: d.head[pg]})
+		d.head[pg] = int32(len(d.links))
+	}
 	copy(d.data[off:], data)
 	return nil
+}
+
+// dropWindow empties the persistence window and its index, in time
+// proportional to the window.
+func (d *Device) dropWindow() {
+	for _, p := range d.pend {
+		for pg, stop := pages(p.off, p.off+uint64(len(p.old))); pg < stop; pg++ {
+			d.head[pg] = 0
+		}
+	}
+	d.pend = d.pend[:0]
+	d.links = d.links[:0]
+	d.undo.Reset()
 }
 
 // WritePersist stores data and makes exactly that range durable. It models
@@ -114,7 +162,7 @@ func (d *Device) WritePersist(off uint64, data []byte) error {
 // durable and can no longer be lost by Crash.
 func (d *Device) PersistAll() {
 	d.mu.Lock()
-	d.pend = d.pend[:0]
+	d.dropWindow()
 	d.mu.Unlock()
 }
 
@@ -196,7 +244,7 @@ func (d *Device) Crash(rng *rand.Rand) int {
 		}
 		copy(d.data[p.off:], p.old)
 	}
-	d.pend = d.pend[:0]
+	d.dropWindow()
 	return lose
 }
 
@@ -220,25 +268,26 @@ func (d *Device) Restore(img []byte) error {
 		return fmt.Errorf("nvm: restore size %d != capacity %d", len(img), len(d.data))
 	}
 	copy(d.data, img)
-	d.pend = d.pend[:0]
+	d.dropWindow()
 	return nil
 }
 
 // sealRange makes the current contents of [off, off+n) immune to Crash by
-// rewriting the overlapping parts of every pending undo image. Atomic verbs
-// use it: they are durable on return even though earlier plain writes to
-// the same lines are still volatile.
+// rewriting the overlapping parts of every pending undo image — found
+// through the page index, one page of the range at a time, so an image
+// that spans pages is patched once per page, each time only inside it.
+// Atomic verbs use it: they are durable on return even though earlier
+// plain writes to the same lines are still volatile.
 func (d *Device) sealRange(off uint64, n int) {
 	end := off + uint64(n)
-	for i := range d.pend {
-		p := &d.pend[i]
-		pEnd := p.off + uint64(len(p.old))
-		if p.off >= end || pEnd <= off {
-			continue
+	for pg, stop := pages(off, end); pg < stop; pg++ {
+		lo, hi := max64(off, pg*pageSize), min64(end, (pg+1)*pageSize)
+		for i := d.head[pg]; i != 0; i = d.links[i-1].next {
+			p := &d.pend[d.links[i-1].pend]
+			if a, b := max64(p.off, lo), min64(p.off+uint64(len(p.old)), hi); a < b {
+				copy(p.old[a-p.off:b-p.off], d.data[a:b])
+			}
 		}
-		lo := max64(p.off, off)
-		hi := min64(pEnd, end)
-		copy(p.old[lo-p.off:hi-p.off], d.data[lo:hi])
 	}
 }
 
