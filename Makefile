@@ -73,8 +73,9 @@ chaos-race: build
 # report line that follows host scheduling instead of the seed shows up
 # as a diff at some GOMAXPROCS; -count also proves finished soaks are
 # released (five soak pairs per test fit in memory only if they are).
-# internal/ds adds the skip list's read path: fabric reads, evictions and
-# the adaptive admission height of one seed, run twice.
+# internal/ds adds the skip list's read path: a reader's fabric reads,
+# hits, evictions and clock of one seed run twice, and a writer's cached
+# set and evictions with its overlay drained at different points.
 determinism:
 	GOMAXPROCS=1 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
 	GOMAXPROCS=2 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
@@ -96,11 +97,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 
 # Wall-clock hot-path microbenchmarks (rings, doorbells, zero-alloc
-# codecs) at a fixed iteration count: fast, and allocs/op is exact and
-# host-independent even though ns/op is not. The second command is the
-# full sweep, which enforces the SPSC-vs-channel speed-up floors (ratios
-# of host times: enforced here only — not in `go test`, and not in
-# bench-smoke, which gates virtual-clock numbers alone).
+# codecs, the DRAM cache's ordered search and admit-with-evict at 65 k
+# keyed entries) at a fixed iteration count: fast, and allocs/op is exact
+# and host-independent even though ns/op is not. The second command is the
+# full sweep, which fails on any cell with allocs/op > 0 and enforces the
+# SPSC-vs-channel speed-up floors (ratios of host times: enforced here
+# only — not in `go test`, and not in bench-smoke, which gates
+# virtual-clock numbers alone).
 bench-cpu: build
 	$(GO) test -run NONE -bench Hotpath -benchtime=100x -benchmem ./internal/bench/
 	$(GO) run ./cmd/asymnvm-bench -exp hotpath

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"asymnvm/internal/arena"
+	"asymnvm/internal/core"
 	"asymnvm/internal/logrec"
 	"asymnvm/internal/ring"
 	"asymnvm/internal/serve"
@@ -51,6 +52,10 @@ const (
 // ErrHotpathFloor marks a HotpathSweep failure that is a missed speed-up
 // floor, as opposed to a broken sweep.
 var ErrHotpathFloor = errors.New("hotpath: speed-up floor missed")
+
+// ErrHotpathAllocs marks a HotpathSweep cell that allocated: every hot
+// path here is allocation-free by contract, on any host.
+var ErrHotpathAllocs = errors.New("hotpath: a zero-alloc path allocated")
 
 // hotSPSCHandoff streams b.N values through an SPSC ring, consumer on
 // its own goroutine. The timer covers the full handoff: all pushes plus
@@ -293,12 +298,56 @@ func hotProtoResponse(b *testing.B) {
 	}
 }
 
+// hotCacheEntries is the keyed population of the cache cells: what a 1 MB
+// cache holds of 16-byte skip-list headers.
+const hotCacheEntries = 1 << 16
+
+// hotKeyedCache fills a cache to capacity with keyed 16-byte images under
+// scattered order keys, and returns it with the next unused address.
+func hotKeyedCache() (*core.Cache, uint64) {
+	c := core.NewCache(16*hotCacheEntries, core.PolicyHybrid, nil)
+	img := make([]byte, 16)
+	addr := uint64(1)
+	for ; addr <= hotCacheEntries; addr++ {
+		c.PutKeyed(addr, img, 208, 1, core.EpochAlways, addr*0x9E3779B97F4A7C15, uint8(addr%4))
+	}
+	return c, addr
+}
+
+// hotCacheFloor searches the ordered view of a full cache: the start of
+// every warm skip-list descent.
+func hotCacheFloor(b *testing.B) {
+	c, _ := hotKeyedCache()
+	b.ResetTimer()
+	k := uint64(0)
+	for i := 0; i < b.N; i++ {
+		k += 0x9E3779B97F4A7C15
+		if _, _, _, ok := c.Floor(1, k|1<<63, 0, core.EpochAlways); !ok {
+			b.Fatal("no entry at or below a key in the upper half")
+		}
+	}
+}
+
+// hotCacheAdmitEvict admits into a full cache: one eviction (32 sampled
+// candidates, both indexes) and one insertion per operation, built from
+// recycled parts.
+func hotCacheAdmitEvict(b *testing.B) {
+	c, addr := hotKeyedCache()
+	img := make([]byte, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.PutKeyed(addr, img, 208, 1, core.EpochAlways, addr*0x9E3779B97F4A7C15, uint8(addr%4))
+		addr++
+	}
+}
+
 // HotpathSweep runs every hot-path microbenchmark under
 // testing.Benchmark and returns one row per cell. KOPS here is real
 // (wall-clock) thousands of operations per second; Extra carries ns/op
 // and the measured allocations per op. On a multi-core host the sweep
 // fails if the SPSC ring does not beat the channel handoff by at least
-// spscSpeedupFloor — the acceptance gate for the ring refactor.
+// spscSpeedupFloor — the acceptance gate for the ring refactor — and on
+// any host if a cell allocates (ErrHotpathAllocs).
 func HotpathSweep() ([]Row, error) {
 	cells := []struct {
 		series string
@@ -316,6 +365,8 @@ func HotpathSweep() ([]Row, error) {
 		{"logrec", "op-roundtrip", hotOpRoundTrip},
 		{"proto", "request", hotProtoRequest},
 		{"proto", "response", hotProtoResponse},
+		{"cache", "floor", hotCacheFloor},
+		{"cache", "admit-evict", hotCacheAdmitEvict},
 	}
 	rows := make([]Row, 0, len(cells))
 	nsOf := make(map[string]float64, len(cells))
@@ -337,6 +388,11 @@ func HotpathSweep() ([]Row, error) {
 				"bytes_op":  float64(r.AllocedBytesPerOp()),
 			},
 		})
+	}
+	for _, r := range rows {
+		if a := r.Extra["allocs_op"]; a != 0 {
+			return rows, fmt.Errorf("%w: %s %s, %v allocs/op", ErrHotpathAllocs, r.Series, r.Label, a)
+		}
 	}
 	pushpop := nsOf["channel/pushpop"] / nsOf["spsc-ring/pushpop"]
 	handoff := nsOf["channel/handoff"] / nsOf["spsc-ring/handoff"]

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"container/list"
 	"math/rand"
 
 	"asymnvm/internal/stats"
@@ -29,6 +28,11 @@ const (
 // HybridSetSize is the random candidate-set size (32 in §4.4).
 const HybridSetSize = 32
 
+// cacheFreeMax bounds the recycled entries kept for the next admission: a
+// steady admit/evict cycle needs one, a burst (InvalidateTag) goes to the
+// garbage collector.
+const cacheFreeMax = 64
+
 type cacheEntry struct {
 	addr  uint64
 	data  []byte
@@ -36,8 +40,24 @@ type cacheEntry struct {
 	tag   uint32 // owning structure (for per-structure invalidation)
 	epoch uint64 // seqlock SN the bytes were read under; ^0 = always valid
 	use   uint64 // logical use counter for hybrid sampling
-	elem  *list.Element
-	slot  int // index in the sampling slice
+	slot  int    // index in the sampling slice
+	// A keyed entry is also in its tag's ordered index under key; rank biases
+	// eviction (lowest first). Unkeyed entries have rank 0.
+	key   uint64
+	keyed bool
+	rank  uint8
+	// Intrusive links: the recency list (front = most recent; the free list
+	// reuses next) and the owning tag's list.
+	prev, next   *cacheEntry
+	tprev, tnext *cacheEntry
+}
+
+// tagSet is one structure's share of the cache: every entry it owns, and
+// the key-ordered view of the keyed ones.
+type tagSet struct {
+	head *cacheEntry
+	n    int
+	ord  ordIndex
 }
 
 // EpochAlways marks entries that never go stale (immutable nodes of
@@ -46,19 +66,24 @@ type cacheEntry struct {
 const EpochAlways = ^uint64(0)
 
 // Cache is the front-end DRAM object cache. Entries are whole structure
-// nodes ("pages" whose size is set per structure, §4.4), keyed by global
-// NVM address — or, for a structure whose traversals need only the head of
-// a node, a prefix image of it (PutPrefix): the leading bytes of the unit,
-// accounted at their own length. Owned by a single front-end actor; not
-// safe for concurrent use.
+// nodes ("pages" whose size is set per structure, §4.4), found by global
+// NVM address — or, for a structure whose searches need only the head of a
+// node, a prefix image of it: the leading bytes of the unit, accounted at
+// their own length, admitted under an order key (PutKeyed) and found by
+// address (Get) or as the nearest key at or below a search key (Floor). A
+// keyed entry is in both indexes or in neither: every path that removes an
+// entry goes through remove. Owned by a single front-end actor; not safe
+// for concurrent use.
 type Cache struct {
 	capacity int64
 	used     int64
 	policy   Policy
 	entries  map[uint64]*cacheEntry
-	byTag    map[uint32]map[uint64]*cacheEntry // per-structure index for InvalidateTag
-	lru      *list.List                        // front = most recent
+	tags     map[uint32]*tagSet // per-structure index: InvalidateTag, Floor
+	lru      cacheEntry         // recency list sentinel: next = most recent, prev = least
 	sample   []*cacheEntry
+	free     *cacheEntry // recycled entries, image buffers attached
+	nfree    int
 	tick     uint64
 	rng      *rand.Rand
 	st       *stats.Stats
@@ -71,74 +96,109 @@ func NewCache(capacity int64, policy Policy, st *stats.Stats) *Cache {
 	if st == nil {
 		st = &stats.Stats{}
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		policy:   policy,
-		entries:  make(map[uint64]*cacheEntry),
-		byTag:    make(map[uint32]map[uint64]*cacheEntry),
-		lru:      list.New(),
 		rng:      rand.New(rand.NewSource(0x5eed)),
 		st:       st,
 	}
+	c.Clear()
+	return c
 }
 
 // Len reports the number of cached entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Capacity reports the byte budget.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // Used reports the cached bytes.
 func (c *Cache) Used() int64 { return c.used }
 
-// Get returns the cached bytes for addr when present and valid at epoch.
-// Entries tagged EpochAlways match any epoch. The returned slice is the
-// cache's own copy; callers must not retain it across mutations. A miss
-// is counted only when countMiss is set — reads the caller deliberately
-// routes around the cache (cold tree levels, §8.3) are direct remote
-// reads, not cache misses.
+// Get returns the cached image of the unit at addr — whole or prefix, as
+// it was admitted — when present and valid at epoch. Entries tagged
+// EpochAlways match any epoch. The returned slice is the cache's own copy:
+// read-only, and good until the cache is next mutated. A miss is counted
+// only when countMiss is set — reads the caller deliberately routes around
+// the cache (cold tree levels, §8.3) are direct remote reads, not cache
+// misses.
 func (c *Cache) Get(addr uint64, epoch uint64, countMiss bool) ([]byte, bool) {
-	e := c.lookup(addr, epoch, countMiss)
-	if e == nil {
-		return nil, false
+	if e := c.find(addr, epoch); e != nil {
+		return c.hit(e), true
 	}
-	return e.data, true
-}
-
-// GetUnit is Get for a reader of n-byte units: the first n bytes of an
-// image that covers them, or the whole of a prefix image of an n-byte unit
-// (a short hit: the caller gets fewer than n bytes). An entry cached under
-// a different, smaller unit size is dropped and misses.
-func (c *Cache) GetUnit(addr uint64, n int, epoch uint64, countMiss bool) ([]byte, bool) {
-	e := c.lookup(addr, epoch, countMiss)
-	switch {
-	case e == nil:
-		return nil, false
-	case len(e.data) >= n:
-		return e.data[:n], true
-	case e.unit == n:
-		return e.data, true
-	}
-	c.remove(e)
+	c.miss(countMiss)
 	return nil, false
 }
 
-func (c *Cache) lookup(addr uint64, epoch uint64, countMiss bool) *cacheEntry {
-	e, ok := c.entries[addr]
-	if ok && e.epoch != EpochAlways && e.epoch != epoch {
-		// Stale under the seqlock: drop so the refill replaces it.
-		c.remove(e)
-		ok = false
+// GetUnit is Get for a reader of n-byte units: the first n bytes of an
+// image that covers them. A prefix image of an n-byte unit does not, so it
+// misses and stays; an entry cached under a different, smaller unit size
+// is dropped.
+func (c *Cache) GetUnit(addr uint64, n int, epoch uint64, countMiss bool) ([]byte, bool) {
+	e := c.find(addr, epoch)
+	if e != nil && len(e.data) >= n {
+		return c.hit(e)[:n], true
 	}
-	if !ok {
-		if countMiss {
-			c.st.CacheMiss.Add(1)
+	if e != nil && e.unit != n {
+		c.remove(e)
+	}
+	c.miss(countMiss)
+	return nil, false
+}
+
+// Floor returns, among tag's keyed entries of rank at least minRank, the
+// one with the greatest order key <= k: its address and image. visited is
+// the number of index nodes the search read, which is what the caller
+// charges for it. An entry found stale at epoch takes every stale entry of
+// the tag with it — one epoch move stales them all — and the search runs
+// again.
+func (c *Cache) Floor(tag uint32, k uint64, minRank uint8, epoch uint64) (addr uint64, data []byte, visited int, ok bool) {
+	ts := c.tags[tag]
+	if ts == nil {
+		return 0, nil, 0, false
+	}
+	for {
+		_, ref, n, found := ts.ord.floor(k, minRank)
+		visited += n
+		if !found {
+			return 0, nil, visited, false
 		}
+		if e := c.entries[ref]; !e.stale(epoch) {
+			return e.addr, c.hit(e), visited, true
+		}
+		for e := ts.head; e != nil; {
+			next := e.tnext
+			if e.stale(epoch) {
+				c.remove(e)
+			}
+			e = next
+		}
+	}
+}
+
+// find is the address lookup: a stale entry is dropped so the refill
+// replaces it.
+func (c *Cache) find(addr uint64, epoch uint64) *cacheEntry {
+	e := c.entries[addr]
+	if e != nil && e.stale(epoch) {
+		c.remove(e)
 		return nil
 	}
+	return e
+}
+
+// stale reports whether e was read under another seqlock epoch than epoch.
+func (e *cacheEntry) stale(epoch uint64) bool {
+	return e.epoch != EpochAlways && e.epoch != epoch
+}
+
+func (c *Cache) hit(e *cacheEntry) []byte {
 	c.touch(e)
 	c.st.CacheHit.Add(1)
-	return e
+	return e.data
+}
+
+func (c *Cache) miss(count bool) {
+	if count {
+		c.st.CacheMiss.Add(1)
+	}
 }
 
 // Contains reports presence without counting a hit or miss.
@@ -149,40 +209,111 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Put inserts (or replaces) the bytes of the whole unit at addr.
 func (c *Cache) Put(addr uint64, data []byte, tag uint32, epoch uint64) {
-	c.PutPrefix(addr, data, len(data), tag, epoch)
+	c.put(addr, data, len(data), tag, epoch, false, 0, 0)
 }
 
-// PutPrefix inserts (or replaces) an image holding the leading len(data)
-// bytes of the unit-byte unit at addr. Only those bytes count against the
-// capacity.
-func (c *Cache) PutPrefix(addr uint64, data []byte, unit int, tag uint32, epoch uint64) {
+// PutKeyed inserts (or replaces) a prefix image — the leading len(data)
+// bytes of the unit-byte unit at addr, which alone count against the
+// capacity — that the structure also searches by order key (Floor). rank
+// biases eviction: of its candidates the hybrid policy takes the lowest
+// rank first, the least recently used among equals, and an unkeyed entry
+// ranks 0. Order keys are unique within a tag: an entry at another address
+// that holds key is dropped.
+func (c *Cache) PutKeyed(addr uint64, data []byte, unit int, tag uint32, epoch uint64, key uint64, rank uint8) {
+	c.put(addr, data, unit, tag, epoch, true, key, rank)
+}
+
+func (c *Cache) put(addr uint64, data []byte, unit int, tag uint32, epoch uint64, keyed bool, key uint64, rank uint8) {
 	if int64(len(data)) > c.capacity {
 		return // larger than the whole cache: bypass
 	}
-	if e, ok := c.entries[addr]; ok {
+	if e := c.entries[addr]; e != nil {
+		if e.tag != tag || e.keyed != keyed || e.key != key || e.rank != rank {
+			c.unlink(e)
+			e.tag, e.keyed, e.key, e.rank = tag, keyed, key, rank
+			c.link(e)
+		}
 		c.used += int64(len(data)) - int64(len(e.data))
 		e.data = append(e.data[:0], data...)
-		e.unit = unit
-		if e.tag != tag {
-			c.untag(e)
-			e.tag = tag
-			c.retag(e)
-		}
-		e.epoch = epoch
+		e.unit, e.epoch = unit, epoch
 		c.touch(e)
 	} else {
-		e := &cacheEntry{addr: addr, data: append([]byte(nil), data...), unit: unit, tag: tag, epoch: epoch}
-		e.elem = c.lru.PushFront(e)
+		e = c.newEntry(data)
+		e.addr, e.unit, e.tag, e.epoch = addr, unit, tag, epoch
+		e.key, e.keyed, e.rank = key, keyed, rank
+		c.link(e)
+		c.entries[addr] = e
 		e.slot = len(c.sample)
 		c.sample = append(c.sample, e)
-		c.entries[addr] = e
-		c.retag(e)
+		e.prev, e.next = e, e // detached; touch links it in
 		c.used += int64(len(data))
 		c.touch(e)
 	}
 	for c.used > c.capacity {
 		c.evictOne()
 	}
+}
+
+// link enters e into its tag's set and, keyed, into the ordered view —
+// from which an entry at another address holding the same key is dropped
+// first.
+func (c *Cache) link(e *cacheEntry) {
+	if ts := c.tags[e.tag]; ts != nil && e.keyed {
+		if key, ref, _, ok := ts.ord.floor(e.key, 0); ok && key == e.key {
+			c.remove(c.entries[ref])
+		}
+	}
+	ts := c.tags[e.tag]
+	if ts == nil {
+		ts = &tagSet{}
+		c.tags[e.tag] = ts
+	}
+	if e.keyed {
+		ts.ord.insert(e.key, e.addr, e.rank)
+	}
+	e.tprev, e.tnext = nil, ts.head
+	if ts.head != nil {
+		ts.head.tprev = e
+	}
+	ts.head = e
+	ts.n++
+}
+
+// unlink takes e out of its tag's set and the ordered view.
+func (c *Cache) unlink(e *cacheEntry) {
+	ts := c.tags[e.tag]
+	if e.keyed {
+		ts.ord.remove(e.key)
+	}
+	if e.tprev != nil {
+		e.tprev.tnext = e.tnext
+	} else {
+		ts.head = e.tnext
+	}
+	if e.tnext != nil {
+		e.tnext.tprev = e.tprev
+	}
+	if ts.n--; ts.n == 0 {
+		delete(c.tags, e.tag)
+	}
+}
+
+// newEntry takes an entry off the free list, or allocates one, and copies
+// data into it. A recycled image buffer is reused when it fits without
+// holding more than twice the bytes it is accounted at.
+func (c *Cache) newEntry(data []byte) *cacheEntry {
+	e := c.free
+	if e == nil {
+		return &cacheEntry{data: append([]byte(nil), data...)}
+	}
+	c.free, c.nfree = e.next, c.nfree-1
+	buf := e.data
+	*e = cacheEntry{}
+	if cap(buf) < len(data) || cap(buf) > 2*len(data) {
+		buf = make([]byte, 0, len(data))
+	}
+	e.data = append(buf[:0], data...)
+	return e
 }
 
 // Update applies an in-place sub-range modification to a cached entry if
@@ -217,10 +348,14 @@ func (c *Cache) Invalidate(addr uint64) {
 // dropping one structure must not stall a front-end caching millions of
 // nodes from its neighbours.
 func (c *Cache) InvalidateTag(tag uint32) {
-	set := c.byTag[tag]
-	c.tagScanned = len(set)
-	for _, e := range set {
-		c.remove(e)
+	ts := c.tags[tag]
+	c.tagScanned = 0
+	if ts == nil {
+		return
+	}
+	c.tagScanned = ts.n
+	for ts.head != nil {
+		c.remove(ts.head)
 	}
 }
 
@@ -228,44 +363,38 @@ func (c *Cache) InvalidateTag(tag uint32) {
 // in-flight transaction, §4.3).
 func (c *Cache) Clear() {
 	c.entries = make(map[uint64]*cacheEntry)
-	c.byTag = make(map[uint32]map[uint64]*cacheEntry)
-	c.lru.Init()
+	c.tags = make(map[uint32]*tagSet)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.sample = c.sample[:0]
+	c.free, c.nfree = nil, 0
 	c.used = 0
 }
 
+// touch makes e the most recently used entry.
 func (c *Cache) touch(e *cacheEntry) {
 	c.tick++
 	e.use = c.tick
-	c.lru.MoveToFront(e.elem)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
-func (c *Cache) retag(e *cacheEntry) {
-	set := c.byTag[e.tag]
-	if set == nil {
-		set = make(map[uint64]*cacheEntry)
-		c.byTag[e.tag] = set
-	}
-	set[e.addr] = e
-}
-
-func (c *Cache) untag(e *cacheEntry) {
-	set := c.byTag[e.tag]
-	delete(set, e.addr)
-	if len(set) == 0 {
-		delete(c.byTag, e.tag)
-	}
-}
-
+// remove takes e out of both indexes, the recency list and the sampling
+// slice, and keeps it for the next admission.
 func (c *Cache) remove(e *cacheEntry) {
 	delete(c.entries, e.addr)
-	c.untag(e)
-	c.lru.Remove(e.elem)
+	c.unlink(e)
+	e.prev.next, e.next.prev = e.next, e.prev
 	last := len(c.sample) - 1
 	c.sample[e.slot] = c.sample[last]
 	c.sample[e.slot].slot = e.slot
+	c.sample[last] = nil
 	c.sample = c.sample[:last]
 	c.used -= int64(len(e.data))
+	if c.nfree < cacheFreeMax {
+		e.next, c.free = c.free, e
+		c.nfree++
+	}
 }
 
 // evictOne removes one victim according to the policy.
@@ -276,17 +405,17 @@ func (c *Cache) evictOne() {
 	var victim *cacheEntry
 	switch c.policy {
 	case PolicyLRU:
-		victim = c.lru.Back().Value.(*cacheEntry)
+		victim = c.lru.prev
 	case PolicyRR:
 		victim = c.sample[c.rng.Intn(len(c.sample))]
-	default: // PolicyHybrid: random set, then least-recently-used member
+	default: // PolicyHybrid: random set, then lowest rank, then least recently used
 		k := HybridSetSize
 		if k > len(c.sample) {
 			k = len(c.sample)
 		}
 		for i := 0; i < k; i++ {
 			cand := c.sample[c.rng.Intn(len(c.sample))]
-			if victim == nil || cand.use < victim.use {
+			if victim == nil || cand.rank < victim.rank || cand.rank == victim.rank && cand.use < victim.use {
 				victim = cand
 			}
 		}

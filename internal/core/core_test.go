@@ -96,8 +96,8 @@ func TestTwoTierThroughRPC(t *testing.T) {
 		addrs = append(addrs, a)
 	}
 	// 100 × 128B-class blocks fit in far fewer than 100 slabs.
-	if n := c.Frontend().Stats().RPCCalls.Load(); n != 0 {
-		t.Log("rpc calls recorded on frontend stats:", n)
+	if n := c.Frontend().Stats().RPCCalls.Load(); n <= 0 || n >= 100 {
+		t.Fatalf("100 sub-slab allocations made %d allocator RPCs, want some and far fewer than 100", n)
 	}
 	for _, a := range addrs {
 		if err := c.Release(a, 96); err != nil {
@@ -668,10 +668,11 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 	}
 }
 
-// TestReadPrefixImage: a structure whose admission rule keeps only the head
-// of a unit (SetAdmit) gets that head back as a short hit, pays one fabric
-// read for the rest (ReadWhole) without disturbing the entry, loses the
-// entry like any other when the seqlock epoch moves — and, as the writer,
+// TestReadPrefixImage: a structure that admits only the head of a unit
+// (AdmitKeyed) finds that head by key (Floor) and by address (Cached), each
+// for DRAM accesses and no fabric read, while a read of the whole unit
+// passes the image by — one fabric read that leaves the entry alone. The
+// entry is valid at every epoch, unlike a whole unit's; and the writer
 // still reads its own overlay first while write-through keeps the prefix
 // current underneath.
 func TestReadPrefixImage(t *testing.T) {
@@ -681,8 +682,6 @@ func TestReadPrefixImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep16 := func(unit []byte) int { return 16 }
-	h.SetAdmit(keep16)
 	node, _ := h.Alloc(64)
 	write := func(v byte) {
 		t.Helper()
@@ -704,8 +703,8 @@ func TestReadPrefixImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hR.SetAdmit(keep16)
-	read := func(h *Handle, want byte, wantLen int, wantTrips int64) {
+	// read reads the whole unit and admits its head under key 500.
+	read := func(h *Handle, want byte, wantTrips int64) {
 		t.Helper()
 		st := h.Conn().Frontend().Stats()
 		before := st.RDMARead.Load()
@@ -713,43 +712,72 @@ func TestReadPrefixImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != wantLen || !bytes.Equal(b, bytes.Repeat([]byte{want}, wantLen)) {
-			t.Fatalf("read %d bytes %v, want %d of %d", len(b), b, wantLen, want)
+		if !bytes.Equal(b, bytes.Repeat([]byte{want}, 64)) {
+			t.Fatalf("read %v, want 64 of %d", b, want)
 		}
 		if got := st.RDMARead.Load() - before; got != wantTrips {
 			t.Fatalf("read cost %d fabric reads, want %d", got, wantTrips)
 		}
+		h.AdmitKeyed(node, b[:16], 64, 500, 0)
+	}
+	// probe finds the head by key and by address, for DRAM accesses alone.
+	probe := func(h *Handle, want byte) {
+		t.Helper()
+		fe := h.Conn().Frontend()
+		reads, clk := fe.Stats().RDMARead.Load(), fe.Clock().Now()
+		addr, img, ok := h.Floor(501, 0)
+		if !ok || addr != node || !bytes.Equal(img, bytes.Repeat([]byte{want}, 16)) {
+			t.Fatalf("Floor(501) = addr %#x %v ok=%v, want the 16-byte head of %#x", addr, img, ok, node)
+		}
+		if img, ok := h.Cached(node); !ok || !bytes.Equal(img, bytes.Repeat([]byte{want}, 16)) {
+			t.Fatalf("Cached = %v ok=%v, want the 16-byte head", img, ok)
+		}
+		if _, _, ok := h.Floor(499, 0); ok {
+			t.Fatal("Floor(499) found an entry keyed 500")
+		}
+		// One index node per search, one access for the probe.
+		if d, want := fe.Clock().Now()-clk, 3*fe.Profile().DRAMAccess; d != want || fe.Stats().RDMARead.Load() != reads {
+			t.Fatalf("two searches and a probe charged %v and %d fabric reads, want %v and none", d, fe.Stats().RDMARead.Load()-reads, want)
+		}
 	}
 	_ = hR.ReaderLock()
-	read(hR, 1, 64, 1) // miss: the whole unit, its head admitted
+	read(hR, 1, 1) // miss: the whole unit, its head admitted
 	if used := feR.Cache().Used(); used != 16 {
 		t.Fatalf("cache holds %d bytes after admission, want the 16-byte prefix", used)
 	}
-	read(hR, 1, 16, 0) // short hit
-	before := feR.Stats().RDMARead.Load()
-	if b, err := hR.ReadWhole(node, 64); err != nil || len(b) != 64 || b[63] != 1 {
-		t.Fatalf("ReadWhole: %d bytes err=%v", len(b), err)
-	}
-	if got := feR.Stats().RDMARead.Load() - before; got != 1 || feR.Cache().Used() != 16 {
-		t.Fatalf("ReadWhole cost %d fabric reads and left %d cached bytes, want 1 and 16", got, feR.Cache().Used())
+	probe(hR, 1)
+	read(hR, 1, 1) // the whole unit again: the prefix does not answer for it
+	if used := feR.Cache().Used(); used != 16 {
+		t.Fatalf("a whole-unit read left %d cached bytes, want 16", used)
 	}
 
 	// The writer rewrites the unit: write-through patches its own prefix
 	// entry, and its reads see the overlay, whole, ahead of it.
-	feW.Cache().PutPrefix(node, bytes.Repeat([]byte{1}, 16), 64, h.tag, EpochAlways)
+	h.AdmitKeyed(node, bytes.Repeat([]byte{1}, 16), 64, 500, 0)
 	write(2)
-	read(h, 2, 64, 0)
-	if b, ok := feW.Cache().GetUnit(node, 64, EpochAlways, false); !ok || !bytes.Equal(b, bytes.Repeat([]byte{2}, 16)) {
-		t.Fatalf("writer's prefix entry after write-through: ok=%v %v", ok, b)
-	}
+	read(h, 2, 0)
+	probe(h, 2)
 	if err := h.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	read(h, 2, 16, 0) // overlay retired: the patched prefix answers
+	read(h, 2, 1) // overlay retired: the fabric, not the prefix
+	probe(h, 2)
 
-	// The SN moved with the replayed write: the reader's prefix is stale.
+	// The SN moved with the replayed write. A keyed image is admitted on the
+	// structure's word that what its searches read from it never changes, so
+	// the reader still finds it — holding the bytes it was admitted with —
+	// where a whole-unit entry read under the old SN is gone. The unit itself
+	// is read fresh.
+	if _, err := hR.Read(hR.RootAddr(), 8, true); err != nil {
+		t.Fatal(err)
+	}
 	_ = hR.ReaderLock()
-	read(hR, 2, 64, 1)
+	probe(hR, 1)
+	if _, ok := feR.Cache().GetUnit(hR.RootAddr(), 8, hR.readEpoch(), false); ok {
+		t.Fatal("a whole-unit entry read under an older epoch still hits")
+	}
+	read(hR, 2, 1)
+	probe(hR, 2)
 }
 
 func TestStatsLatencyCharged(t *testing.T) {

@@ -76,7 +76,7 @@ func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingR
 	fe := h.c.fe
 	p := &PendingReads{h: h, cacheable: cacheable, out: make([][]byte, len(addrs)), addrs: addrs}
 	for i, addr := range addrs {
-		view, ok, err := h.local(addr, n, cacheable, false)
+		view, ok, err := h.local(addr, n, cacheable)
 		if err != nil {
 			return nil, err
 		}

@@ -274,6 +274,7 @@ func (c *Conn) Frontend() *Frontend { return c.fe }
 // backoff charged to the virtual clock.
 func (c *Conn) rpc(op, a1, a2 uint64) (backend.RPCResponse, error) {
 	c.rpcSeq++
+	c.fe.st.RPCCalls.Add(1) // per call: a re-drive is a VerbRetry, not another RPC
 	req := backend.EncodeRPCRequest(backend.RPCRequest{Seq: c.rpcSeq, Op: op, A1: a1, A2: a2})
 	var resp backend.RPCResponse
 	c.fe.tr.BeginArg(trace.KindRPC, op)

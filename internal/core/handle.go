@@ -201,10 +201,6 @@ type Handle struct {
 
 	// Reader-side state.
 	curSN uint64
-
-	// admit is the structure's admission rule for non-cacheable reads (see
-	// SetAdmit); nil admits nothing.
-	admit func(unit []byte) int
 }
 
 // SetOpGroupCommit enables op-log group commit (stack/queue, §8.1).
@@ -278,12 +274,11 @@ func (h *Handle) readEpoch() uint64 {
 }
 
 // local serves addr from the front-end's own memory: the writer's overlay
-// (authoritative for its unreplayed units), then — unless the caller needs
-// the whole unit and the cache may hold only a prefix image of it — the
-// DRAM cache. The view is the owner's slice — read-only, and good until
-// that unit is next written or fetched (eviction leaves the bytes alone) —
-// and is shorter than n when the cache holds a prefix.
-func (h *Handle) local(addr uint64, n int, cacheable, whole bool) ([]byte, bool, error) {
+// (authoritative for its unreplayed units), then the DRAM cache, which
+// answers only with an image that covers all n bytes. The view is the
+// owner's slice: read-only, an overlay's good until that unit is next
+// written, a cache's until anything is next admitted.
+func (h *Handle) local(addr uint64, n int, cacheable bool) ([]byte, bool, error) {
 	fe := h.c.fe
 	var view []byte
 	if e, ok := h.overlay[addr]; ok && h.writer {
@@ -291,14 +286,24 @@ func (h *Handle) local(addr uint64, n int, cacheable, whole bool) ([]byte, bool,
 			return nil, false, fmt.Errorf("%w: addr %#x unit %d, read %d", ErrUnitMismatch, addr, len(e.data), n)
 		}
 		view = e.data
-	} else if whole || fe.cache == nil {
+	} else if fe.cache == nil {
 		return nil, false, nil
 	} else if view, ok = fe.cache.GetUnit(addr, n, h.readEpoch(), cacheable); !ok {
 		return nil, false, nil
 	}
-	fe.clk.Advance(fe.prof.DRAMAccess)
-	fe.tr.Charge(trace.KindCacheHit, fe.prof.DRAMAccess)
+	h.chargeDRAM(1)
 	return view, true, nil
+}
+
+// chargeDRAM charges n accesses to the front-end's own memory.
+func (h *Handle) chargeDRAM(n int) {
+	if n == 0 {
+		return
+	}
+	fe := h.c.fe
+	d := time.Duration(n) * fe.prof.DRAMAccess
+	fe.clk.Advance(d)
+	fe.tr.Charge(trace.KindCacheHit, d)
 }
 
 // fetch reads the unit at addr over the fabric into buf.
@@ -314,54 +319,74 @@ func (h *Handle) fetch(addr uint64, buf []byte) error {
 	return err
 }
 
-// fill offers a unit just fetched from the fabric to the DRAM cache: whole
-// when the read was cacheable, else the leading bytes the structure's
-// admission rule keeps (SetAdmit). Every cache insertion of the read path
-// goes through here, so a hit never copies into the cache.
+// fill offers a unit just fetched from the fabric by a cacheable read to
+// the DRAM cache. Every whole-unit insertion of the read path goes through
+// here, so a hit never copies into the cache.
 func (h *Handle) fill(addr uint64, unit []byte, cacheable bool) {
-	fe := h.c.fe
-	if fe.cache == nil {
-		return
-	}
-	keep := len(unit)
-	if !cacheable {
-		if h.admit == nil {
-			return
-		}
-		keep = h.admit(unit)
-	}
-	if keep > 0 {
-		fe.cache.PutPrefix(addr, unit[:keep], len(unit), h.tag, h.readEpoch())
+	if fe := h.c.fe; cacheable && fe.cache != nil {
+		fe.cache.Put(addr, unit, h.tag, h.readEpoch())
 	}
 }
 
-// SetAdmit installs the structure's admission rule for reads it issues
-// with cacheable=false — structures that can judge a node only after
-// reading it, like the skip list's tower-height bias. keep is handed each
-// unit fetched from the fabric and returns how many of its leading bytes
-// the DRAM cache should keep: 0 for none, fewer than the unit for a prefix
-// image, which later reads of the unit get back as a short hit.
-func (h *Handle) SetAdmit(keep func(unit []byte) int) { h.admit = keep }
+// AdmitKeyed offers the DRAM cache the head of the unit-byte unit at addr —
+// hdr, its leading bytes — as a prefix image the structure can search for
+// by order key (Floor) or probe by address (Cached); rank biases eviction
+// (Cache.PutKeyed). An image already there is refreshed and marked used, so
+// a structure that admits every node it visits, wherever the bytes came
+// from, keeps a cache whose content follows the operation stream alone.
+// Reads of the whole unit pass a prefix image by: the overlay, then the
+// fabric. Admission is bookkeeping and is not charged.
+//
+// The caller vouches for what makes such an image valid at every epoch, for
+// readers too: the unit at addr is never freed or moved while the structure
+// lives, and the bytes of hdr its searches steer by never change. (Bytes
+// that do change are kept current for the writer by write-through; a reader
+// must take them from the unit, not from the image.)
+func (h *Handle) AdmitKeyed(addr uint64, hdr []byte, unit int, key uint64, rank uint8) {
+	if c := h.c.fe.cache; c != nil {
+		c.PutKeyed(addr, hdr, unit, h.tag, EpochAlways, key, rank)
+	}
+}
+
+// Floor returns the address and image of the nearest keyed entry at or
+// below k — the greatest order key <= k — among those of rank at least
+// minRank (0: any), charging one DRAM access per index node the search
+// visits. Without a cache there is nothing to find and nothing is charged.
+// The image is the cache's own: good until the next admission.
+func (h *Handle) Floor(k uint64, minRank uint8) (addr uint64, img []byte, ok bool) {
+	c := h.c.fe.cache
+	if c == nil {
+		return 0, nil, false
+	}
+	addr, img, visited, ok := c.Floor(h.tag, k, minRank, h.readEpoch())
+	h.chargeDRAM(visited)
+	return addr, img, ok
+}
+
+// Cached probes the DRAM cache for whatever image it holds of the unit at
+// addr — for a keyed entry, the head that was admitted — charging one DRAM
+// access on a hit. The image is the cache's own: good until the next
+// admission.
+func (h *Handle) Cached(addr uint64) ([]byte, bool) {
+	c := h.c.fe.cache
+	if c == nil {
+		return nil, false
+	}
+	img, ok := c.Get(addr, h.readEpoch(), false)
+	if ok {
+		h.chargeDRAM(1)
+	}
+	return img, ok
+}
 
 // Read implements rnvm_read: overlay (the writer's unreplayed units),
 // then the DRAM cache, then a one-sided RDMA read — Figure 4's gather
 // path. cacheable selects between swap-in (hot data) and direct remote
 // read (cold data), the structure-specific choice of §4.4/§8: the cache
 // is always consulted (a hit is a hit), but only cacheable reads fill it
-// or count as misses. The result is the caller's own copy; it is shorter
-// than n only when the cache held a prefix image of the unit.
+// or count as misses. The result is the caller's own copy.
 func (h *Handle) Read(addr uint64, n int, cacheable bool) ([]byte, error) {
-	return h.read(addr, n, cacheable, false)
-}
-
-// ReadWhole is Read for a caller that holds a prefix image and needs the
-// rest of the unit: overlay, then the fabric, never the cache.
-func (h *Handle) ReadWhole(addr uint64, n int) ([]byte, error) {
-	return h.read(addr, n, false, true)
-}
-
-func (h *Handle) read(addr uint64, n int, cacheable, whole bool) ([]byte, error) {
-	view, ok, err := h.local(addr, n, cacheable, whole)
+	view, ok, err := h.local(addr, n, cacheable)
 	if err != nil {
 		return nil, err
 	}
@@ -374,18 +399,16 @@ func (h *Handle) read(addr uint64, n int, cacheable, whole bool) ([]byte, error)
 	if err := h.fetch(addr, buf); err != nil {
 		return nil, err
 	}
-	if !whole {
-		h.fill(addr, buf, cacheable)
-	}
+	h.fill(addr, buf, cacheable)
 	return buf, nil
 }
 
 // ReadInto is Read without the copy, for read-only traversals: a hit
-// returns the overlay's or the cache's own bytes — read-only, and good
-// only until that unit is next written or fetched — and a miss is fetched
-// into dst, whose length is the unit size.
+// returns the overlay's or the cache's own bytes (see local for how long
+// they are good) and a miss is fetched into dst, whose length is the unit
+// size.
 func (h *Handle) ReadInto(addr uint64, dst []byte, cacheable bool) ([]byte, error) {
-	view, ok, err := h.local(addr, len(dst), cacheable, false)
+	view, ok, err := h.local(addr, len(dst), cacheable)
 	if ok || err != nil {
 		return view, err
 	}
@@ -401,16 +424,15 @@ func (h *Handle) ReadInto(addr uint64, dst []byte, cacheable bool) ([]byte, erro
 // fetched as independent one-sided reads posted to the connection's
 // pipeline — one doorbell group per queue-depth window instead of one
 // round trip per address. Results index-match addrs (each the caller's
-// own copy, short where Read's would be). This is what turns
-// a multi-node traversal (B+-tree leaf scan, hash-chain walk across
-// keys) from RTT-bound into bandwidth-bound.
+// own copy). This is what turns a multi-node traversal (B+-tree leaf scan,
+// hash-chain walk across keys) from RTT-bound into bandwidth-bound.
 func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, error) {
 	fe := h.c.fe
 	out := make([][]byte, len(addrs))
 	var missIdx []int
 	var ops []rdma.ReadOp
 	for i, addr := range addrs {
-		view, ok, err := h.local(addr, n, cacheable, false)
+		view, ok, err := h.local(addr, n, cacheable)
 		if err != nil {
 			return nil, err
 		}

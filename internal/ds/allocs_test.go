@@ -56,13 +56,14 @@ func TestHotPathAllocsUntraced(t *testing.T) {
 	}
 }
 
-// TestSkipListGetAllocsUntraced pins the read-only descent: it walks cached
-// towers in place and fetches everything else into the structure's two hop
-// buffers, so a Get allocates only the value it hands out — whether that
-// is copied from a whole unit or read whole behind a tower.
+// TestSkipListGetAllocsUntraced pins the read-only descent: it finds its
+// anchor in the cache, fetches every node it walks into the structure's two
+// hop buffers, and admits their headers into entries the evictions it
+// causes hand back — so a Get allocates only the value it returns, copied
+// out of the whole unit it was read in.
 func TestSkipListGetAllocsUntraced(t *testing.T) {
 	r := newRig(t)
-	c := r.conn(1, core.ModeRC(1<<20))
+	c := r.conn(1, core.ModeRC(8<<10)) // a quarter of the headers: every get evicts
 	sl, err := CreateSkipList(c, "allocs", Options{Create: testCreate})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestSkipListGetAllocsUntraced(t *testing.T) {
 		}
 	}
 	// Retire the overlay so reads come from the cache and the fabric, then
-	// let one pass admit the towers.
+	// let one pass bring the cache to its steady state.
 	if err := sl.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +84,8 @@ func TestSkipListGetAllocsUntraced(t *testing.T) {
 			t.Fatalf("get %d: ok=%v err=%v", i*2, ok, err)
 		}
 	}
+	evicts := &c.Frontend().Stats().CacheEvict
+	before := evicts.Load()
 	k := uint64(0)
 	hitAllocs := testing.AllocsPerRun(keys-1, func() {
 		k += 2
@@ -97,7 +100,11 @@ func TestSkipListGetAllocsUntraced(t *testing.T) {
 			t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
 		}
 	})
-	t.Logf("untraced skip-list get: found=%.2f absent=%.2f allocs/op", hitAllocs, missAllocs)
+	evicted := evicts.Load() - before
+	t.Logf("untraced skip-list get: found=%.2f absent=%.2f allocs/op, %d evictions", hitAllocs, missAllocs, evicted)
+	if evicted < keys {
+		t.Fatalf("%d evictions over %d gets: the cache was meant to churn", evicted, 2*keys)
+	}
 	// Measured 1 and 0; the ceilings are one above.
 	const hitCeiling, missCeiling = 2, 1
 	if hitAllocs > hitCeiling {

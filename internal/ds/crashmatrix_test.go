@@ -245,7 +245,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		queueCrashCase(),
 		kvCrashCase("HashTable"),
 		kvCrashCase("SkipList"),
-		towerPredCrashCase(),
+		anchorCrashCase(),
 		kvCrashCase("BST"),
 		kvCrashCase("BPTree"),
 		kvCrashCase("MVBST"),
@@ -973,15 +973,19 @@ func rangedTxCrashCase() crashCase {
 	}
 }
 
-// towerPredCrashCase is the skip-list row for a predecessor the writer
-// knows only by its cached tower. The probe inserts right behind a tall
-// seed node after a drain (overlay retired) and a lookup (tower admitted),
-// so the unit it rewrites is rebuilt from a whole-unit re-read — and the
-// seed check, which reads that node's value back after every crash point
-// and after ReplayPending's re-execution, fails if a value-less image was
-// ever logged in its place.
-func towerPredCrashCase() crashCase {
-	const name, seeds = "SkipListTower", 64
+// anchorCrashCase is the skip-list row for nodes the writer knows only by
+// their cached headers. After a drain (overlay retired) and two lookups
+// (headers admitted) the probe inserts right behind one seed and then
+// updates another in place, so both units it rewrites are rebuilt from a
+// whole-unit read taken first. A unit rebuilt from its header instead has
+// neither the value nor the links: the ranged log would still carry only
+// the bytes that changed, so NVM survives it, but the writer's overlay —
+// what it reads its own list through until the replayer catches up — would
+// not, and the probe's closing VerifyOverlay (reached only by the counting
+// pass; every crash point dies before it) fails the row.
+func anchorCrashCase() crashCase {
+	const name, seeds = "SkipListAnchor", 64
+	const pred, upd = uint64(2 * 20), uint64(2 * 40)
 	opts := crashOpts()
 	return crashCase{
 		name:  name,
@@ -1000,22 +1004,23 @@ func towerPredCrashCase() crashCase {
 			if err := sl.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			// The first seed whose tower the policy admits.
-			pred := uint64(0)
-			for i := 1; i <= seeds && pred == 0; i++ {
-				if _, _, err := sl.Get(uint64(2 * i)); err != nil {
+			for _, k := range []uint64{pred, upd} {
+				if _, _, err := sl.Get(k); err != nil {
 					t.Fatal(err)
 				}
-				if _, img, err := sl.descend(uint64(2*i), nil); err != nil {
-					t.Fatal(err)
-				} else if len(img) < sl.nodeSize() {
-					pred = uint64(2 * i)
+				if _, _, img, err := sl.descend(k, nil); err != nil || len(img) != slHdr {
+					t.Fatalf("seed %d is known by %d bytes (err %v), want its cached header", k, len(img), err)
 				}
 			}
-			if pred == 0 {
-				t.Fatal("no seed node is cached as a tower")
+			return func() error {
+				if err := sl.Put(pred+1, probeVal); err != nil {
+					return err
+				}
+				if err := sl.Put(upd, probeVal); err != nil {
+					return err
+				}
+				return sl.Handle().VerifyOverlay()
 			}
-			return func() error { return sl.Put(pred+1, probeVal) }
 		},
 		check: func(t *testing.T, c *core.Conn, sealed int) {
 			sl, err := OpenSkipList(c, name, true, opts)
@@ -1026,22 +1031,24 @@ func towerPredCrashCase() crashCase {
 			if err := sl.Drain(); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
-			probes := 0
+			inserted, updated := false, false
 			for k := uint64(1); k <= 2*seeds+1; k++ {
 				got, ok, err := sl.Get(k)
 				switch {
 				case err != nil:
 					t.Fatalf("get %d: %v", k, err)
+				case k == upd && ok && bytes.Equal(got, probeVal):
+					updated = true
 				case k%2 == 0 && (!ok || !bytes.Equal(got, crashVal(int(k/2)))):
 					t.Fatalf("seed key %d lost or wrong: ok=%v got=%q", k, ok, got)
 				case k%2 == 1 && ok:
-					if probes++; !bytes.Equal(got, probeVal) {
-						t.Fatalf("probe key %d mangled: got %q", k, got)
+					if inserted = true; k != pred+1 || !bytes.Equal(got, probeVal) {
+						t.Fatalf("probe key %d mangled or misplaced: got %q", k, got)
 					}
 				}
 			}
-			if probes > 1 || probes == 0 && sealed > 0 {
-				t.Fatalf("%d probe keys present with %d sealed", probes, sealed)
+			if updated && !inserted || !inserted && sealed > 0 || !updated && sealed > 1 {
+				t.Fatalf("insert present=%v, update present=%v with %d of the two sealed", inserted, updated, sealed)
 			}
 		},
 	}

@@ -3,6 +3,7 @@ package ds
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -240,10 +241,9 @@ type coldRow struct {
 	create func(c *core.Conn, o Options) (coldKV, error)
 	open   func(c *core.Conn, o Options) (coldKV, error)
 	// Fabric reads of one cold operation (an insert's include one for its
-	// front-end's first slab RPC). BST, B+Tree and HashTable are pinned at
-	// what they cost before the skip list's cache images became towers; the
-	// skip list's get hit and update were 20 when every descent ran to
-	// level 0 (the hit key's tower is 3 high: found 6 nodes early).
+	// front-end's first slab RPC). A cold skip-list search has no anchor
+	// and starts at the head; it stops at the level where it finds the key
+	// (the hit key's tower is 3 high: found 6 nodes before level 0).
 	getHit, getMiss, insert, update int64
 }
 
@@ -342,17 +342,18 @@ func TestColdReadTrips(t *testing.T) {
 	}
 }
 
-// TestSkipListTowerTrips pins what the tower images change on a warm
-// front-end. A node reached through a level-L pointer is taller than L, so
-// a descent that ends at level 2 meets only admitted towers: repeated, it
-// costs no fabric read but the one for the value its tower image lacks; an
-// in-place update does not need even that (the value is being replaced);
-// and an insert behind a predecessor seen only as a tower re-reads that
-// unit before rewriting it — so the predecessor's value survives.
-func TestSkipListTowerTrips(t *testing.T) {
+// TestSkipListAnchorTrips pins what the cached headers buy on a warm
+// front-end. A key whose header is cached is found without a descent: a get
+// pays the one read of the unit its value is in, an update the same read
+// (the overlay takes whole units). An absent key between two cached
+// neighbours costs the read of its anchor and nothing else — every
+// successor the walk meets answers "too large" from the cache. And an
+// insert behind a predecessor known only by its header reads that unit
+// whole before rewriting it — so the predecessor's value and links survive.
+func TestSkipListAnchorTrips(t *testing.T) {
 	present, _ := coldKeySet()
-	hit := present[104] // tower height 3: admitted
-	after := hit + 1    // absent: its level-0 predecessor is hit
+	hit := present[104] // tower height 3
+	after := hit + 1    // absent: its anchor is hit
 	for _, k := range present {
 		if k == after {
 			t.Fatalf("key %d is populated; pick another hit key", after)
@@ -376,96 +377,243 @@ func TestSkipListTowerTrips(t *testing.T) {
 		}
 		d := st.Snapshot().Sub(before)
 		if d.CacheEvict != 0 {
-			t.Fatalf("%d evictions from a cache that holds every tower", d.CacheEvict)
+			t.Fatalf("%d evictions from a cache that holds every header", d.CacheEvict)
 		}
 		return d.RDMARead
 	}
 	get := func(k uint64, want []byte) func() error {
 		return func() error {
 			v, ok, err := sl.Get(k)
-			if err == nil && (!ok || string(v) != string(want)) {
+			if err == nil && (ok != (want != nil) || string(v) != string(want)) {
 				err = fmt.Errorf("get %d = %q, %v; want %q", k, v, ok, want)
 			}
 			return err
 		}
 	}
 	cold := reads(get(hit, val(int(hit))))
-	used := c.Frontend().Cache().Used()
 	warm := reads(get(hit, val(int(hit))))
-	if c.Frontend().Cache().Used() != used {
-		t.Fatalf("a descent over cached towers changed the cached bytes: %d -> %d", used, c.Frontend().Cache().Used())
-	}
+	// The first walk behind hit reads it and the successor at each of its
+	// three levels; all four are cached headers afterwards.
+	walk := reads(get(after, nil))
+	between := reads(get(after, nil))
 	update := reads(func() error { return sl.Put(hit, val(1)) })
-	if err := sl.Drain(); err != nil { // retire the overlay: hit is a cached tower again
+	if err := sl.Drain(); err != nil { // retire the overlay: hit is known by its header alone again
 		t.Fatal(err)
 	}
-	if _, img, err := sl.descend(hit, nil); err != nil || len(img) != slTower(3) {
-		t.Fatalf("the writer sees key %d as %d bytes (err %v), want its 3-high tower", hit, len(img), err)
+	if _, _, img, err := sl.descend(hit, nil); err != nil || len(img) != slHdr {
+		t.Fatalf("the writer sees key %d as %d bytes (err %v), want its cached header", hit, len(img), err)
 	}
-	walk := reads(func() error {
-		_, ok, err := sl.Get(after)
-		if ok {
-			err = fmt.Errorf("key %d found before its insert", after)
-		}
-		return err
-	})
 	insert := reads(func() error { return sl.Put(after, val(2)) })
-	got := [5]int64{cold, warm, update, walk, insert}
-	// The walk to level 0 meets one more tall node, admitted on the way,
-	// and two short ones. The insert re-reads the short two, reads its one
-	// tower-only predecessor whole, and, being this front-end's first
-	// allocation, pays one read for the slab RPC's response.
-	if want := [5]int64{14, 1, 0, 3, 4}; got != want {
-		t.Fatalf("fabric reads {cold get, warm get, warm update, warm get miss, insert behind a tower} = %v, want %v", got, want)
+	got := [6]int64{cold, warm, walk, between, update, insert}
+	// The insert draws height 1, so its anchor is its only predecessor: one
+	// read of that unit, and — this front-end's first allocation — one for
+	// the slab RPC's response.
+	if want := [6]int64{14, 1, 4, 1, 1, 2}; got != want {
+		t.Fatalf("fabric reads {cold get, warm get, first get behind it, absent between cached neighbours, update, insert behind a header} = %v, want %v", got, want)
 	}
 	if err := get(hit, val(1))(); err != nil {
-		t.Fatalf("predecessor rewritten from a tower image lost its value: %v", err)
+		t.Fatalf("predecessor rewritten behind its header lost its value: %v", err)
 	}
 	if err := get(after, val(2))(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSkipListReadPathDeterministic: the admission height is a function of
-// the operation count and the cache counters, and those of the seed — two
-// runs of one seed agree on every fabric read, eviction, the final height
-// and the reader's virtual clock. The cache is far too small for the
-// starting height, so the run includes the policy moving. Part of `make
-// determinism` (GOMAXPROCS 1, 2, 8).
-func TestSkipListReadPathDeterministic(t *testing.T) {
-	type outcome struct {
-		reads, hits, evicts int64
-		level               int
-		clock               time.Duration
+// TestSkipListReaderAnchorsOutliveEpochs: a reader's cached headers stay
+// valid when the writer moves the seqlock — a node never moves, so the
+// header still names it — and cost the reader no freshness: everything but
+// the key comes from a read of the unit itself. Beside a writer the reader
+// keeps paying one read for a cached key, sees the value the writer just
+// put there, and finds a node the writer linked in behind its anchor.
+func TestSkipListReaderAnchorsOutliveEpochs(t *testing.T) {
+	present, _ := coldKeySet()
+	hit, after := present[104], present[104]+1
+	o := Options{Create: testCreate}
+	r := newRig(t)
+	coldBuild(t, r, coldRows()[0], o)
+	w, err := OpenSkipList(r.conn(2, core.ModeRC(1<<20)), "cold", true, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() outcome {
+	c := r.conn(3, core.ModeRC(1<<20))
+	rd, err := OpenSkipList(c, "cold", false, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Frontend().Stats()
+	get := func(k uint64, want []byte, wantReads int64) {
+		t.Helper()
+		before := st.RDMARead.Load()
+		v, ok, err := rd.Get(k)
+		if err != nil || ok != (want != nil) || string(v) != string(want) {
+			t.Fatalf("reader get %d = %q, %v (err %v); want %q", k, v, ok, err, want)
+		}
+		if got := st.RDMARead.Load() - before; wantReads >= 0 && got != wantReads {
+			t.Fatalf("reader get %d cost %d node reads, want %d", k, got, wantReads)
+		}
+	}
+	get(hit, val(int(hit)), -1) // cold
+	get(after, nil, -1)         // admits hit's successors
+	get(after, nil, 1)
+	for i, put := range []struct {
+		key  uint64
+		want func()
+	}{
+		{hit, func() { get(hit, val(1000), 1) }},       // updated in place: one read, the new value
+		{after, func() { get(after, val(1001), 2) }},   // linked in behind the anchor: the anchor, then the node
+		{hit + 2, func() { get(after, val(1001), 1) }}, // and now cached itself
+	} {
+		if err := w.Put(put.key, val(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Drain(); err != nil { // replayed: the seqlock has moved
+			t.Fatal(err)
+		}
+		put.want()
+	}
+}
+
+// slOps runs n operations of a fixed 90/10 get/put stream on sl, draining
+// every drainEvery of them (0: never).
+func slOps(t *testing.T, sl *SkipList, n, drainEvery int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	for i := 1; i <= n; i++ {
+		k := uint64(rng.Intn(2*coldKeys)) + 1
+		var err error
+		if rng.Intn(10) == 0 {
+			err = sl.Put(k, val(i))
+		} else {
+			_, _, err = sl.Get(k)
+		}
+		if err == nil && drainEvery > 0 && i%drainEvery == 0 {
+			err = sl.Drain()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSkipListReadPathDeterministic: what the skip list caches is a
+// function of the operation stream. Two readers running one seed agree on
+// every fabric read, hit, eviction and the virtual clock. Two writers
+// running one seed, one of them draining every 64 operations so that its
+// overlay is retired at other points, agree on every eviction and on the
+// set of cached nodes — their fabric reads and clocks may differ, since a
+// read the overlay serves in one is a fabric read in the other. The cache
+// is far too small for the list, so both runs evict throughout. Part of
+// `make determinism` (GOMAXPROCS 1, 2, 8).
+func TestSkipListReadPathDeterministic(t *testing.T) {
+	const ops = 8192
+	o := Options{Create: testCreate}
+	open := func(writer bool) (*core.Frontend, *SkipList) {
 		r := newRig(t)
-		o := Options{Create: testCreate}
 		coldBuild(t, r, coldRows()[0], o)
 		fe := core.NewFrontend(core.FrontendOptions{ID: 2, Mode: core.ModeRC(8 << 10)})
 		c, err := fe.Connect(r.bk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sl, err := OpenSkipList(c, "cold", false, o)
+		sl, err := OpenSkipList(c, "cold", writer, o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return fe, sl
+	}
+	type outcome struct {
+		reads, hits, evicts int64
+		clock               time.Duration
+	}
+	reader := func() outcome {
+		fe, sl := open(false)
 		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 8*levelPolicyWindow; i++ {
-			k := uint64(rng.Intn(2*coldKeys)) + 1
-			if _, _, err := sl.Get(k); err != nil {
+		for i := 0; i < ops; i++ {
+			if _, _, err := sl.Get(uint64(rng.Intn(2*coldKeys)) + 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s := fe.Stats().Snapshot()
-		return outcome{s.RDMARead, s.CacheHit, s.CacheEvict, sl.pol.Level(), fe.Clock().Now()}
+		return outcome{s.RDMARead, s.CacheHit, s.CacheEvict, fe.Clock().Now()}
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed, different runs:\n  %+v\n  %+v", a, b)
+	if a, b := reader(), reader(); a != b {
+		t.Fatalf("same seed, different reader runs:\n  %+v\n  %+v", a, b)
+	} else if a.evicts == 0 {
+		t.Fatalf("%+v: the run was meant to overflow the cache", a)
 	}
-	if a.evicts == 0 || a.level == SkipListMaxLevel-towerPolicyStart {
-		t.Fatalf("%+v: the run was meant to overflow the cache and move the admission height", a)
+
+	// writer returns the evictions and, walking the bottom level, which of
+	// the list's nodes are cached.
+	writer := func(drainEvery int) (int64, []uint64) {
+		fe, sl := open(true)
+		slOps(t, sl, ops, drainEvery)
+		evicts := fe.Stats().CacheEvict.Load()
+		var cached []uint64
+		for addr := sl.head; addr != 0; {
+			unit, err := sl.h.Read(addr, sl.nodeSize(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fe.Cache().Contains(addr) {
+				cached = append(cached, addr)
+			}
+			addr = slNext(unit, 0)
+		}
+		return evicts, cached
+	}
+	evA, setA := writer(0)
+	evB, setB := writer(64)
+	if evA != evB || !slices.Equal(setA, setB) {
+		t.Fatalf("one seed, drained at different points: %d evictions and %d cached nodes, against %d and %d", evA, len(setA), evB, len(setB))
+	}
+	if evA == 0 || len(setA) == 0 {
+		t.Fatalf("%d evictions, %d cached nodes: the run was meant to overflow the cache", evA, len(setA))
+	}
+}
+
+// TestSkipListNoCacheUnchanged: without a cache there are no anchors and no
+// new charges — the descent from the head of PR 16, read for read and clock
+// for clock. The figures are the parent commit's for this operation stream
+// (each put drained, so no read depends on how far the replayer has got).
+func TestSkipListNoCacheUnchanged(t *testing.T) {
+	o := Options{Create: testCreate}
+	r := newRig(t)
+	coldBuild(t, r, coldRows()[0], o)
+	fe := core.NewFrontend(core.FrontendOptions{ID: 2, Mode: core.ModeR()})
+	c, err := fe.Connect(r.bk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := OpenSkipList(c, "cold", true, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fe.Stats()
+	reads0, clk0 := st.RDMARead.Load(), fe.Clock().Now()
+	rng := rand.New(rand.NewSource(18))
+	key := func() uint64 { return uint64(rng.Intn(2*coldKeys)) + 1 }
+	for i := 0; i < 400; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			if err = sl.Put(key(), val(i)); err == nil {
+				err = sl.Drain()
+			}
+		case 1:
+			keys := make([]uint64, 6)
+			for j := range keys {
+				keys[j] = key()
+			}
+			_, _, err = sl.GetMulti(keys)
+		default:
+			_, _, err = sl.Get(key())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads, clk := st.RDMARead.Load()-reads0, fe.Clock().Now()-clk0
+	const wantReads, wantClock = 9645, 21972667 * time.Nanosecond
+	if reads != wantReads || clk != wantClock {
+		t.Fatalf("400 operations without a cache: %d fabric reads in %v (%d ns), the parent's %d in %v", reads, clk, clk.Nanoseconds(), wantReads, wantClock)
 	}
 }

@@ -136,14 +136,18 @@ func (w *htWalker) absorb(bufs [][]byte) error {
 // slCursor is one key's descent position.
 type slCursor struct {
 	cur   uint64 // current node address
-	level int    // current descent level
+	level int    // current descent level; slFromTop = not started: cur's top level
 	done  bool
 }
+
+const slFromTop = -1
 
 // slWalker runs the skip-list descent for a whole batch, sharing one image
 // map: a round fetches every node any cursor needs and is missing,
 // deduplicated in first-need order, then all cursors advance as far as the
-// images allow. Images are whole units or cached towers, as in descend.
+// images allow. Images are whole units; as in descend, every cursor starts
+// at its anchor, every node fetched has its header admitted, and a cached
+// header that says a successor's key is too large saves its fetch.
 type slWalker struct {
 	s       *SkipList
 	keys    []uint64
@@ -162,10 +166,14 @@ func (s *SkipList) newGetWalker(keys []uint64, vals [][]byte, found []bool) getW
 		curs:    make([]slCursor, len(keys)),
 		needSet: make(map[uint64]bool),
 	}
-	for i := range w.curs {
-		w.curs[i] = slCursor{cur: s.head, level: SkipListMaxLevel - 1}
+	for i, key := range keys {
+		from := s.head
+		if a, _, ok := s.h.Floor(key, 0); ok {
+			from = a
+		}
+		w.curs[i] = slCursor{cur: from, level: slFromTop}
+		w.require(from)
 	}
-	w.require(s.head)
 	return w
 }
 
@@ -190,6 +198,7 @@ func (w *slWalker) absorb(bufs [][]byte) error {
 		if err := w.s.check(buf, -1); err != nil {
 			return err
 		}
+		w.s.admit(w.need[j], buf)
 		w.images[w.need[j]] = buf
 	}
 	w.need = w.need[:0]
@@ -203,8 +212,7 @@ func (w *slWalker) absorb(bufs [][]byte) error {
 }
 
 // advance pushes cursor i down the list until it completes or needs a
-// node image the walker has not fetched yet. A key found by a tower image
-// pays its whole-unit read here, outside the round's doorbell group.
+// node image the walker has not fetched yet.
 func (w *slWalker) advance(i int) error {
 	c := &w.curs[i]
 	if c.done {
@@ -216,6 +224,13 @@ func (w *slWalker) advance(i int) error {
 		w.require(c.cur)
 		return nil
 	}
+	if c.level == slFromTop {
+		if c.cur != w.s.head && slKey(curN) == key { // the anchor holds the key
+			w.finish(c, i, curN)
+			return nil
+		}
+		c.level = slLevel(curN) - 1
+	}
 	for c.level >= 0 {
 		nxt := slNext(curN, c.level)
 		if nxt == 0 {
@@ -224,6 +239,10 @@ func (w *slWalker) advance(i int) error {
 		}
 		nxtN, ok := w.images[nxt]
 		if !ok {
+			if hdr, ok := w.s.h.Cached(nxt); ok && slKey(hdr) > key {
+				c.level--
+				continue
+			}
 			w.require(nxt)
 			return nil
 		}
@@ -234,16 +253,20 @@ func (w *slWalker) advance(i int) error {
 		case k < key:
 			c.cur, curN = nxt, nxtN
 		case k == key:
-			v, err := w.s.value(nxt, nxtN)
-			w.vals[i], w.found[i] = v, err == nil
-			c.done = true
-			return err
+			w.finish(c, i, nxtN)
+			return nil
 		default:
 			c.level--
 		}
 	}
 	c.done = true
 	return nil
+}
+
+// finish completes cursor c with the value in unit.
+func (w *slWalker) finish(c *slCursor, i int, unit []byte) {
+	w.vals[i] = append([]byte(nil), unit[slValOff:slValOff+slVlen(unit)]...)
+	w.found[i], c.done = true, true
 }
 
 // GetMulti looks a batch of keys up with posted-verb parallelism: every
@@ -257,7 +280,6 @@ func (s *SkipList) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 			return nil, nil, err
 		}
 	}
-	s.pol.observeFill(s.h.Conn().Frontend())
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
 	if err := runWalker(s.h, s.newGetWalker(keys, vals, found)); err != nil {
