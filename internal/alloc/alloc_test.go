@@ -287,3 +287,25 @@ func TestQuickTwoTierNoOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTwoTierWarmSlabAllocates0: on a slab that has blocks both in use and
+// free, an Alloc/Free pair is bookkeeping in place — the class is found in
+// the allocator's own table, not in a list of sizes built per call.
+func TestTwoTierWarmSlabAllocates0(t *testing.T) {
+	tt := NewTwoTier(newFakeSource(), 4096)
+	if _, err := tt.Alloc(520); err != nil { // keeps the slab partial throughout
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		a, err := tt.Alloc(520)
+		if err == nil {
+			err = tt.Free(a, 520)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an Alloc/Free pair on a warm slab allocates %.1f times, want 0", allocs)
+	}
+}

@@ -79,19 +79,11 @@ func (t *TwoTier) Allocated() int64 { return t.allocated }
 // classFor returns the index of the smallest class >= size, or -1 when the
 // request is larger than every class (then it goes straight to the source).
 func (t *TwoTier) classFor(size int) int {
-	i := sort.SearchInts(classSizesOf(t.classes), size)
+	i := sort.Search(len(t.classes), func(i int) bool { return t.classes[i].size >= size })
 	if i == len(t.classes) {
 		return -1
 	}
 	return i
-}
-
-func classSizesOf(cs []classState) []int {
-	out := make([]int, len(cs))
-	for i := range cs {
-		out[i] = cs[i].size
-	}
-	return out
 }
 
 // Alloc returns the global NVM address of size bytes. Requests larger

@@ -118,6 +118,7 @@ type Backend struct {
 	// memory-log chunk is still being decoded.
 	memScan, opScan, refVal []byte
 	dssScan                 []*dsReplay // replayAll's snapshot of dss
+	rpcReq                  [64]byte    // serveRPC's request-cell read buffer
 
 	// resolver consults a coordinator log for in-doubt prepares during
 	// recovery (see twopc.go); nil leaves them held.
@@ -472,7 +473,7 @@ func (b *Backend) setErr(err error) {
 // requests. The whole path is local: bitmap update, persist, response.
 func (b *Backend) serveRPC() {
 	n := int(b.layout.RPCSlots)
-	buf := make([]byte, 64)
+	buf := b.rpcReq[:] // one pass per kick, however many the host coalesces: no buffer each
 	for c := 0; c < n; c++ {
 		if err := b.dev.ReadAt(b.layout.RPCReqOff(uint16(c)), buf); err != nil {
 			b.setErr(err)

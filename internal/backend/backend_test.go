@@ -233,7 +233,7 @@ func TestReplayerAppliesHandWrittenLog(t *testing.T) {
 // volume follows host timing (the 4 KiB chunk per pass was two thirds of
 // the read-miss benchmark's bytes, and what made them vary run to run).
 func TestIdlePollKeepsItsScanBuffer(t *testing.T) {
-	dev, b, _, target := handStructure(t)
+	dev, b, aux, target := handStructure(t)
 	// The loop is never started: this goroutine is the service goroutine.
 	b.replayAll()
 	got := make([]byte, 8)
@@ -258,6 +258,32 @@ func TestIdlePollKeepsItsScanBuffer(t *testing.T) {
 	}
 	if best >= polls {
 		t.Fatalf("%d idle polls allocate %d B; each should reuse the back-end's scan buffers", polls, best)
+	}
+	// Nor does a record applied with no mirror attached: nobody wants its raw
+	// extent, so it is not read back into a fresh buffer to be forwarded.
+	memBase := b.Layout().DataBase + 4096
+	tail, _ := dev.Load64(aux + AuxLPNOff)
+	best = ^uint64(0)
+	for r := 0; r < rounds && best >= polls; r++ {
+		for i := 0; i < polls; i++ {
+			tx := logrec.TxRecord{DSSlot: 0, Abs: tail, Entries: []logrec.MemEntry{
+				{Flag: logrec.FlagInline, Addr: GlobalAddr(0, target), Len: 8, Value: []byte{byte(r), byte(i), 2, 3, 4, 5, 6, 7}},
+			}}
+			wire := tx.Encode()
+			_ = dev.WritePersist(memBase+tail, wire)
+			tail += uint64(len(wire))
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.replayAll()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+		if lpn, _ := dev.Load64(aux + AuxLPNOff); lpn != tail {
+			t.Fatalf("round %d: LPN %d after replay, log tail %d", r, lpn, tail)
+		}
+	}
+	if best >= polls {
+		t.Fatalf("%d records applied with no mirror allocate %d B; none should be read back", polls, best)
 	}
 	if err := b.ReplicationError(); err != nil {
 		t.Fatal(err)

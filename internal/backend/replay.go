@@ -365,10 +365,14 @@ func (b *Backend) applyTx(ds *dsReplay, rec *logrec.TxRecord, newLPN uint64) err
 // the OPN, so which ops a crash left out of the archive would otherwise be
 // the host scheduler's choice. Restart recovery is exempt: no sink is
 // attached yet, and the scan cursor must stay where the sinks will pick
-// it up.
+// it up. With no replica attached the extent is not read back at all —
+// forwarding is charged per sink, so there is no clock to keep either.
 func (b *Backend) forwardMemRecord(ds *dsReplay, abs uint64, n int, coverOp uint64) error {
 	if coverOp > ds.opSeen && !b.inRecovery {
 		b.archiveOps(ds)
+	}
+	if len(b.rawSinks()) == 0 {
+		return nil
 	}
 	for _, r := range ds.memArea.Split(abs, n) {
 		chunk := make([]byte, r.Len)
@@ -531,7 +535,7 @@ func (b *Backend) archiveOps(ds *dsReplay) {
 				wire := buf[pos : pos+used]
 				for _, r := range ds.opArea.Split(rec.Abs, used) {
 					// Forward at physical offsets for replica mirrors.
-					b.forwardRawOnly(r.DevOff, wire[:r.Len])
+					b.forwardRaw(r.DevOff, wire[:r.Len])
 					wire = wire[r.Len:]
 				}
 				b.forwardOp(ds.slot, buf[pos:pos+used])
@@ -606,27 +610,32 @@ func (b *Backend) PendingOps(slot uint16) ([]logrec.OpRecord, error) {
 	}
 }
 
+// rawSinks snapshots the attached sinks that keep a byte-identical replica
+// (replica mirrors); with none attached it allocates nothing.
+func (b *Backend) rawSinks() []MirrorSink {
+	b.mu.Lock()
+	sinks := append([]MirrorSink(nil), b.mirrors...)
+	b.mu.Unlock()
+	n := 0
+	for _, m := range sinks {
+		if m.WantsRaw() {
+			sinks[n] = m
+			n++
+		}
+	}
+	return sinks[:n]
+}
+
 // forwardRaw pushes a device range to every replica mirror and charges the
 // back-end clock for the transfer (replication happens on the back-end's
 // time, not the front-end's — §7.1's asynchronous replication).
 func (b *Backend) forwardRaw(devOff uint64, data []byte) {
-	b.mu.Lock()
-	mirrors := append([]MirrorSink(nil), b.mirrors...)
-	b.mu.Unlock()
-	for _, m := range mirrors {
-		if !m.WantsRaw() {
-			continue
-		}
+	for _, m := range b.rawSinks() {
 		b.forwardCharge(len(data))
 		if err := m.MirrorWrite(devOff, data); err != nil {
 			b.setErr(err)
 		}
 	}
-}
-
-// forwardRawOnly is forwardRaw without the lock dance for the hot op path.
-func (b *Backend) forwardRawOnly(devOff uint64, data []byte) {
-	b.forwardRaw(devOff, data)
 }
 
 // forwardOp pushes one encoded op record to archive mirrors.

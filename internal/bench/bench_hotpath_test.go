@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"flag"
 	"testing"
 )
 
@@ -27,6 +28,31 @@ func BenchmarkHotpathProtoResponse(b *testing.B) {
 }
 func BenchmarkHotpathCacheFloor(b *testing.B)      { b.ReportAllocs(); hotCacheFloor(b) }
 func BenchmarkHotpathCacheAdmitEvict(b *testing.B) { b.ReportAllocs(); hotCacheAdmitEvict(b) }
+func BenchmarkHotpathBPTreePut(b *testing.B)       { b.ReportAllocs(); hotBPTreePut(b) }
+func BenchmarkHotpathHashPut(b *testing.B)         { b.ReportAllocs(); hotHashPut(b) }
+
+// TestHotpathAllocs is the allocation gate, and it does not depend on the
+// host: every hot-path cell runs a fixed 200 iterations and fails on
+// allocs/op > 0. The sweep's other gate, the speed-up ratios, reads host
+// time and stays with `make bench-cpu`.
+func TestHotpathAllocs(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	old := benchtime.Value.String()
+	if err := benchtime.Value.Set("200x"); err != nil {
+		t.Fatal(err)
+	}
+	defer benchtime.Value.Set(old)
+	for _, c := range hotCells {
+		r := testing.Benchmark(c.fn)
+		if r.N != 200 {
+			t.Fatalf("%s %s ran %d iterations, want 200", c.series, c.label, r.N)
+		}
+		t.Logf("%s %s: %d allocations in %d iterations", c.series, c.label, r.MemAllocs, r.N)
+		if a := r.AllocsPerOp(); a != 0 {
+			t.Errorf("%s %s: %d allocs/op, want 0", c.series, c.label, a)
+		}
+	}
+}
 
 // TestHotpathSweep pins what of the sweep repeats on any host: the row
 // schema the checked-in BENCH_hotpath.json relies on and 0 allocs/op in
@@ -54,6 +80,7 @@ func TestHotpathSweep(t *testing.T) {
 		"logrec|tx-roundtrip": false, "logrec|op-roundtrip": false,
 		"proto|request": false, "proto|response": false,
 		"cache|floor": false, "cache|admit-evict": false,
+		"bptree|put-rcb64-pipe8": false, "hashtable|put-rc": false,
 		"spsc-vs-channel|speedup": false,
 	}
 	for _, r := range rows {

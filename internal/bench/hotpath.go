@@ -4,10 +4,11 @@
 // paths ride on — the lock-free completion rings, the doorbell
 // park/unpark primitive, and the AppendTo-style record/frame codecs —
 // against the idiomatic Go baselines they replaced (buffered channels,
-// encode-then-frame copies). Absolute ns/op varies across hosts, so the
-// checked-in BENCH_hotpath.json is diffed with a generous threshold;
-// the allocation ceilings are enforced exactly, but in plain `go test`
-// (internal/logrec and internal/serve allocs_test.go), not here.
+// encode-then-frame copies), and of two whole operations built on it: a
+// B+Tree put and a hash-table put, op record to overlay prune. Absolute
+// ns/op varies across hosts, so the checked-in BENCH_hotpath.json is diffed
+// with a generous threshold; the allocation counts do not, and plain `go
+// test` enforces them at a fixed iteration count (TestHotpathAllocs).
 package bench
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"asymnvm/internal/arena"
 	"asymnvm/internal/core"
+	"asymnvm/internal/ds"
 	"asymnvm/internal/logrec"
 	"asymnvm/internal/ring"
 	"asymnvm/internal/serve"
@@ -341,6 +343,92 @@ func hotCacheAdmitEvict(b *testing.B) {
 	}
 }
 
+// hotPutWarm is the number of puts a whole-operation cell runs before its
+// timer starts: enough to bring the cache to its steady state and take the
+// handle past its first overlay prunes (one per 48 commit flushes), which
+// prime its free lists. What is timed is then the steady state, with every
+// commit flush, hint persist and prune that falls due.
+const hotPutWarm = 1 << 14
+
+// hotPut times Put under uniform keys in [1, keys] on the structure create
+// builds on a one-back-end cluster.
+func hotPut(b *testing.B, mode core.Mode, keys uint64, create func(*core.Conn) (ds.KV, error)) {
+	cl, err := newAsymCluster(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Stop()
+	_, conns, err := cl.NewFrontend(1, mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kv, err := create(conns[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 64)
+	x := uint64(0x9E3779B97F4A7C15)
+	put := func() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if err := kv.Put(x%keys+1, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < hotPutWarm; i++ {
+		put()
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		put()
+	}
+}
+
+// hotBPTreePut is the paper's headline cell: batch 64 behind a depth-8
+// pipeline. The warm-up fills two thirds of the key space, so inserts and
+// their splits stay in the mix, and the cache holds a tenth of the leaves,
+// so a descent's views are evicted under it.
+func hotBPTreePut(b *testing.B) {
+	hotPut(b, core.ModeRCB(32<<10, 64).WithPipeline(8), hotPutWarm, func(c *core.Conn) (ds.KV, error) {
+		return ds.CreateBPTree(c, "hot", ds.Options{})
+	})
+}
+
+// hotHashPut commits every put on its own. The table is full after the
+// warm-up and the cache holds all of it — the serving tier's shape: an
+// insert's first-touch cache entry and a churning cache's mixed-size
+// admissions allocate, and are the cache's to pin, not a put's.
+func hotHashPut(b *testing.B) {
+	hotPut(b, core.ModeRC(1<<20), hotPutWarm/8, func(c *core.Conn) (ds.KV, error) {
+		return ds.CreateHashTable(c, "hot", ds.Options{})
+	})
+}
+
+// hotCells is every hot-path microbenchmark, in BENCH_hotpath.json's row
+// order. All of them are allocation-free by contract.
+var hotCells = []struct {
+	series string
+	label  string
+	fn     func(*testing.B)
+}{
+	{"spsc-ring", "pushpop", hotSPSCPushPop},
+	{"channel", "pushpop", hotChanPushPop},
+	{"spsc-ring", "handoff", hotSPSCHandoff},
+	{"channel", "handoff", hotChanHandoff},
+	{"mpsc-ring", "handoff-4p", hotMPSCHandoff},
+	{"channel", "handoff-4p", hotChanMPSCHandoff},
+	{"doorbell", "ring+poll", hotDoorbell},
+	{"logrec", "tx-roundtrip", hotTxRoundTrip},
+	{"logrec", "op-roundtrip", hotOpRoundTrip},
+	{"proto", "request", hotProtoRequest},
+	{"proto", "response", hotProtoResponse},
+	{"cache", "floor", hotCacheFloor},
+	{"cache", "admit-evict", hotCacheAdmitEvict},
+	{"bptree", "put-rcb64-pipe8", hotBPTreePut},
+	{"hashtable", "put-rc", hotHashPut},
+}
+
 // HotpathSweep runs every hot-path microbenchmark under
 // testing.Benchmark and returns one row per cell. KOPS here is real
 // (wall-clock) thousands of operations per second; Extra carries ns/op
@@ -349,25 +437,7 @@ func hotCacheAdmitEvict(b *testing.B) {
 // spscSpeedupFloor — the acceptance gate for the ring refactor — and on
 // any host if a cell allocates (ErrHotpathAllocs).
 func HotpathSweep() ([]Row, error) {
-	cells := []struct {
-		series string
-		label  string
-		fn     func(*testing.B)
-	}{
-		{"spsc-ring", "pushpop", hotSPSCPushPop},
-		{"channel", "pushpop", hotChanPushPop},
-		{"spsc-ring", "handoff", hotSPSCHandoff},
-		{"channel", "handoff", hotChanHandoff},
-		{"mpsc-ring", "handoff-4p", hotMPSCHandoff},
-		{"channel", "handoff-4p", hotChanMPSCHandoff},
-		{"doorbell", "ring+poll", hotDoorbell},
-		{"logrec", "tx-roundtrip", hotTxRoundTrip},
-		{"logrec", "op-roundtrip", hotOpRoundTrip},
-		{"proto", "request", hotProtoRequest},
-		{"proto", "response", hotProtoResponse},
-		{"cache", "floor", hotCacheFloor},
-		{"cache", "admit-evict", hotCacheAdmitEvict},
-	}
+	cells := hotCells
 	rows := make([]Row, 0, len(cells))
 	nsOf := make(map[string]float64, len(cells))
 	for _, c := range cells {

@@ -54,8 +54,23 @@ var ErrUnitMismatch = errors.New("core: read length does not match written unit"
 // whose memory logs have not been confirmed replayed yet.
 type ovEntry struct {
 	data []byte
-	refs int // flush marks (plus the pending tx) still referencing it
+	refs int      // flush marks (plus the pending tx) still referencing it
+	next *ovEntry // free-list link, once out of the map
 }
+
+// ovFreeList chains the recycled overlay entries of one unit size, images
+// attached. An entry gets here only out of the overlay and a new one is made
+// only when its size's list is empty, so the lists never hold more than the
+// overlay's own high-water mark.
+type ovFreeList struct {
+	size int
+	head *ovEntry
+}
+
+// ovFreeSizes bounds the unit sizes whose overlay entries are recycled — a
+// structure has a node, a word and perhaps a blob; entries of any further
+// size go to the garbage collector.
+const ovFreeSizes = 8
 
 // undoEnt records the overlay bytes one in-window rewrite displaced
 // (arena-sliced to keep the hot path allocation-steady). An abort
@@ -153,14 +168,23 @@ type Handle struct {
 	// txBuf is the commit record's reused encode scratch and vec the fused
 	// commit vector's (safe because every flush path waits its WRs out
 	// before the next build; a posted flush takes vec along until Settle).
-	// bufFree recycles op buffers whose ownership moved to in-flight WRs
-	// once those WRs settle.
+	// bufFree and opsFree recycle the op buffers and write vectors whose
+	// ownership moved to in-flight op-record WRs, once those WRs settle.
 	txBuf   []byte
 	vec     []rdma.WriteOp
 	bufFree [][]byte
+	opsFree [][]rdma.WriteOp
 	overlay map[uint64]*ovEntry
 	ovSeq   uint64
 	marks   []flushMark
+	// ovFree recycles the overlay entries the prune or an abort takes out of
+	// the map (see ovFreeList) and addrFree the address lists of pruned flush
+	// marks, each the pendingAddrs of a later transaction; Abort drops both.
+	ovFree   []ovFreeList
+	addrFree [][]uint64
+	// rootBuf is ReadRoot's fetch buffer: the root word, or — a multi-version
+	// reader — the root and the sequence number beside it.
+	rootBuf [24]byte
 	gcList  []gcItem
 	// gcTxStart is gcList's length at the last transaction boundary;
 	// aborts truncate back to it, un-scheduling DelayedFrees the rolled
@@ -572,7 +596,7 @@ func (h *Handle) write(addr uint64, unit []byte, dirty []Range, opAbs uint64, sr
 		oe.data = append(oe.data[:0], unit...)
 		oe.refs++
 	} else {
-		h.overlay[addr] = &ovEntry{data: append([]byte(nil), unit...), refs: 1}
+		h.overlay[addr] = h.newOvEntry(unit)
 	}
 	// Write-through to the cache (Figure 4, step 4).
 	if fe.cache != nil {
@@ -598,6 +622,48 @@ func (h *Handle) logRange(addr uint64, unit []byte, r Range, opAbs uint64, srcOf
 		e.Value = h.vals.Copy(unit[r.Off : r.Off+r.Len])
 	}
 	h.pending = append(h.pending, e)
+}
+
+// ovList returns the free list of size-byte overlay units, if one is kept.
+func (h *Handle) ovList(size int) *ovFreeList {
+	for i := range h.ovFree {
+		if h.ovFree[i].size == size {
+			return &h.ovFree[i]
+		}
+	}
+	return nil
+}
+
+// newOvEntry returns an overlay entry holding a copy of unit with one
+// reference: a recycled one of that unit size, or a new one.
+func (h *Handle) newOvEntry(unit []byte) *ovEntry {
+	if fl := h.ovList(len(unit)); fl != nil && fl.head != nil {
+		oe := fl.head
+		fl.head, oe.next = oe.next, nil
+		oe.data, oe.refs = append(oe.data[:0], unit...), 1
+		return oe
+	}
+	return &ovEntry{data: append([]byte(nil), unit...), refs: 1}
+}
+
+// unref drops one reference to the overlay unit at addr; the last one takes
+// the entry out of the map and onto its size's free list. Whoever held a
+// view of the image (local) has finished with it: a view is good only until
+// the unit is next written or pruned.
+func (h *Handle) unref(addr uint64) {
+	oe, ok := h.overlay[addr]
+	if !ok {
+		return
+	}
+	if oe.refs--; oe.refs > 0 {
+		return
+	}
+	delete(h.overlay, addr)
+	if fl := h.ovList(len(oe.data)); fl != nil {
+		oe.next, fl.head = fl.head, oe
+	} else if len(h.ovFree) < ovFreeSizes {
+		h.ovFree = append(h.ovFree, ovFreeList{size: len(oe.data), head: oe})
+	}
 }
 
 // OpLog implements rnvm_op_log: it appends {opType, params} for this
@@ -935,8 +1001,13 @@ func (h *Handle) persistOps(ring bool) error {
 		return nil
 	}
 	// The vector outlives this call (kept for the settle's re-issue), so
-	// it cannot live in the shared scratch.
-	ops := appendAreaOps(nil, h.opArea, h.opBufAbs, h.opBuf)
+	// it cannot live in the shared scratch: like the op buffer it belongs to
+	// the in-flight WR until that settles, and comes back through opsFree.
+	var ops []rdma.WriteOp
+	if n := len(h.opsFree); n > 0 {
+		ops, h.opsFree = h.opsFree[n-1], h.opsFree[:n-1]
+	}
+	ops = appendAreaOps(ops, h.opArea, h.opBufAbs, h.opBuf)
 	tok := h.c.ep.PostWriteV(ops)
 	if ring {
 		h.c.ep.Doorbell()
@@ -990,6 +1061,7 @@ func (h *Handle) settleAsyncOps(all bool) error {
 		if af.buf != nil {
 			h.bufFree = append(h.bufFree, af.buf[:0])
 		}
+		h.opsFree = append(h.opsFree, af.ops[:0])
 	}
 	h.asyncOps = h.asyncOps[:copy(h.asyncOps, h.asyncOps[n:])]
 	return first
@@ -1002,7 +1074,7 @@ func (h *Handle) finishTx(wireLen int) error {
 	h.memTail += uint64(wireLen)
 	h.c.fe.st.TxCommits.Add(1)
 	h.c.fe.tuneCommit(h.c.fe.clk.Now() - h.commitT0)
-	h.marks = append(h.marks, flushMark{endAbs: h.memTail, addrs: h.pendingAddrs})
+	h.markFlushed()
 	h.clearPending()
 	h.undoLog = h.undoLog[:0]
 	h.undoArena = h.undoArena[:0]
@@ -1034,14 +1106,24 @@ func (h *Handle) maintain() error {
 	return err
 }
 
+// markFlushed hands the transaction's address list to a flush mark at the
+// memory-log tail; the next transaction collects into the list of a mark the
+// prune has retired.
+func (h *Handle) markFlushed() {
+	h.marks = append(h.marks, flushMark{endAbs: h.memTail, addrs: h.pendingAddrs})
+	h.pendingAddrs = nil
+	if n := len(h.addrFree); n > 0 {
+		h.pendingAddrs, h.addrFree = h.addrFree[n-1], h.addrFree[:n-1]
+	}
+}
+
 // clearPending empties the transaction buffers once their entries are
-// encoded into a durable record or dropped: the entry slice and the value
-// arena are reused, the address list has moved to a flush mark (or is
-// garbage).
+// encoded into a durable record or dropped; all three are reused (a flushed
+// transaction's address list has moved to its mark: markFlushed).
 func (h *Handle) clearPending() {
 	h.pending = h.pending[:0]
 	h.vals.Reset()
-	h.pendingAddrs = nil
+	h.pendingAddrs = h.pendingAddrs[:0]
 }
 
 // appendAreaOps appends to dst the (at most two) physically contiguous
@@ -1164,13 +1246,9 @@ func (h *Handle) pruneOverlay() error {
 	for _, m := range h.marks {
 		if m.endAbs <= lpn {
 			for _, a := range m.addrs {
-				if oe, ok := h.overlay[a]; ok {
-					oe.refs--
-					if oe.refs <= 0 {
-						delete(h.overlay, a)
-					}
-				}
+				h.unref(a)
 			}
+			h.addrFree = append(h.addrFree, m.addrs[:0])
 		} else {
 			keep = append(keep, m)
 		}
@@ -1265,12 +1343,7 @@ func (h *Handle) releaseDueGC() {
 // aborted values as authoritative.
 func (h *Handle) abortOverlay() {
 	for _, a := range h.pendingAddrs {
-		if oe, ok := h.overlay[a]; ok {
-			oe.refs--
-			if oe.refs <= 0 {
-				delete(h.overlay, a)
-			}
-		}
+		h.unref(a)
 	}
 	for i := len(h.undoLog) - 1; i >= 0; i-- {
 		u := h.undoLog[i]
@@ -1295,6 +1368,7 @@ func (h *Handle) Abort() {
 	_ = h.settleAsyncOps(true)
 	h.abortOverlay()
 	h.clearPending()
+	h.ovFree, h.addrFree = nil, nil
 	if h.opBufCnt > 0 {
 		// Rewind over the never-persisted buffered op records only;
 		// already-flushed records are durable and stay.
@@ -1436,14 +1510,14 @@ func (h *Handle) ReadRoot() (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		buf := make([]byte, 24)
+		buf := h.rootBuf[:]
 		if err := h.c.epRead(off, buf); err != nil {
 			return 0, err
 		}
 		h.curSN = le64(buf[16:])
 		return le64(buf), nil
 	}
-	b, err := h.Read(h.RootAddr(), 8, true)
+	b, err := h.ReadInto(h.RootAddr(), h.rootBuf[:8], true)
 	if err != nil {
 		return 0, err
 	}

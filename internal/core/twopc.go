@@ -505,7 +505,7 @@ func (h *Handle) finish2PC(aborted bool) {
 			h.c.fe.cache.Clear()
 		}
 	} else {
-		h.marks = append(h.marks, flushMark{endAbs: h.memTail, addrs: h.pendingAddrs})
+		h.markFlushed()
 		h.undoLog = h.undoLog[:0]
 		h.undoArena = h.undoArena[:0]
 	}

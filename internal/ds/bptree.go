@@ -29,10 +29,62 @@ const (
 	bptNode    = bptPtrsOff + 8*bptMaxKids // 520 bytes
 )
 
-// BPTree is a persistent B+Tree.
+// BPTree is a persistent B+Tree. Like its handle, a BPTree belongs to one
+// actor: every operation walks and patches node images in buffers the tree
+// owns, so nothing on a put's path is allocated.
 type BPTree struct {
 	kvBase
 	pol *levelPolicy
+	// path is the last descent, root first. A level's buffer is where a miss
+	// at that depth is fetched and where a put keeps its own copy of a hit;
+	// it is good until the tree's next read at that depth.
+	path [bptMaxDepth]bptLevel
+	node bptNodeT // the node a put is changing, decoded from its level's buffer
+	sib  bptNodeT // the node a split or a root split builds
+	// Scratch. Handle.Write copies what it is given, so one buffer of each
+	// serves every operation: unit is the image of a node built in memory and
+	// blob the unit a Get fetches a value in. The blob image a put writes is
+	// built in the parameter buffer (blobParams), where Put logs it from.
+	unit, blob []byte
+}
+
+// bptMaxDepth bounds a descent: every node but the root keeps at least 15
+// keys, so no tree of 64-bit keys is deeper — only a corrupt one, whose
+// child pointers loop.
+const bptMaxDepth = 16
+
+// bptLevel is one step of a descent: the node's address, its image — the
+// level's buffer or, on a read-only descent, a view of the cache's or the
+// overlay's bytes (core.Handle.ReadInto) — and the child slot taken.
+type bptLevel struct {
+	addr uint64
+	buf  []byte
+	img  []byte
+	pos  int
+}
+
+// Accessors over a node image, so a descent searches the unit where it lies.
+func bptN(img []byte) int             { return int(binary.LittleEndian.Uint16(img)) }
+func bptIsLeaf(img []byte) bool       { return img[2] == 1 }
+func bptNext(img []byte) uint64       { return binary.LittleEndian.Uint64(img[8:]) }
+func bptKey(img []byte, i int) uint64 { return binary.LittleEndian.Uint64(img[bptKeysOff+8*i:]) }
+func bptPtr(img []byte, i int) uint64 { return binary.LittleEndian.Uint64(img[bptPtrsOff+8*i:]) }
+func bptHas(img []byte, pos int, key uint64) bool {
+	return pos < bptN(img) && bptKey(img, pos) == key
+}
+
+// bptSearch returns the first index of the image's keys with keys[i] >= key.
+func bptSearch(img []byte, key uint64) int {
+	lo, hi := 0, bptN(img)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bptKey(img, mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // bptNodeT is the in-memory image; the arrays carry one overflow slot so
@@ -66,27 +118,30 @@ func (n *bptNodeT) encodeInto(buf []byte, keys, ptrs [2]int) {
 	}
 }
 
-func encodeBPT(n *bptNodeT) []byte {
-	buf := make([]byte, bptNode)
+// encode writes the whole of n over the unit image buf.
+func (n *bptNodeT) encode(buf []byte) []byte {
 	n.encodeInto(buf, [2]int{0, bptMaxKeys}, [2]int{0, bptMaxKids})
 	return buf
 }
 
-func decodeBPT(buf []byte) (*bptNodeT, error) {
-	n := &bptNodeT{img: buf}
-	n.n = int(binary.LittleEndian.Uint16(buf))
-	n.isLeaf = buf[2] == 1
-	n.next = binary.LittleEndian.Uint64(buf[8:])
-	if n.n > bptMaxKeys {
-		return nil, fmt.Errorf("ds: corrupt b+tree node (n=%d)", n.n)
+// bptCheck rejects an image whose key count no node can hold; every image
+// read is checked before it is searched or decoded.
+func bptCheck(img []byte) error {
+	if n := bptN(img); n > bptMaxKeys {
+		return fmt.Errorf("ds: corrupt b+tree node (n=%d)", n)
 	}
+	return nil
+}
+
+// decode makes n the node of the checked unit image buf.
+func (n *bptNodeT) decode(buf []byte) {
+	*n = bptNodeT{n: bptN(buf), isLeaf: bptIsLeaf(buf), next: bptNext(buf), img: buf}
 	for i := 0; i < bptMaxKeys; i++ {
-		n.keys[i] = binary.LittleEndian.Uint64(buf[bptKeysOff+8*i:])
+		n.keys[i] = bptKey(buf, i)
 	}
 	for i := 0; i < bptMaxKids; i++ {
-		n.ptrs[i] = binary.LittleEndian.Uint64(buf[bptPtrsOff+8*i:])
+		n.ptrs[i] = bptPtr(buf, i)
 	}
-	return n, nil
 }
 
 // CreateBPTree registers a new B+Tree with an empty leaf as its root.
@@ -134,6 +189,9 @@ func OpenBPTree(c *core.Conn, name string, writer bool, opts Options) (*BPTree, 
 
 func newBPTree(h *core.Handle, opts Options, writer bool) (*BPTree, error) {
 	t := &BPTree{kvBase: newKVBase(h, opts, writer), pol: newLevelPolicy()}
+	t.unit = make([]byte, bptNode)
+	t.params = make([]byte, blobSrcOff+4+t.cap)
+	t.blob = make([]byte, 4+t.cap)
 	if opts.FlatCache {
 		t.pol = newFlatPolicy()
 	}
@@ -145,16 +203,57 @@ func newBPTree(h *core.Handle, opts Options, writer bool) (*BPTree, error) {
 	return t, nil
 }
 
-func (t *BPTree) readNode(addr uint64, depth int) (*bptNodeT, error) {
-	buf, err := t.h.Read(addr, bptNode, t.pol.cacheable(depth))
+// nodeImage reads the node at addr at the given depth over buf: the image
+// is buf, or a view ReadInto serves — read-only, and good until the next
+// read admits a unit to the cache or that node is next written.
+func (t *BPTree) nodeImage(addr uint64, depth int, buf []byte) ([]byte, error) {
+	img, err := t.h.ReadInto(addr, buf, t.pol.cacheable(depth))
 	if err != nil {
 		return nil, err
 	}
-	return decodeBPT(buf)
+	return img, bptCheck(img)
 }
 
+// descend walks from the root to the leaf that covers key — the one descent
+// of Put, Get, Scan and VectorPut — leaving every node it visits in t.path,
+// and returns the leaf's depth. Inner nodes are searched on the image. With
+// own set, a put's descent, an image the cache or the overlay served is
+// copied into its level's buffer before the walk goes further down: a split
+// below rewrites the node, and by then the view may be gone — a cache view
+// dies at the next admission, and the leaf fetch admits.
+func (t *BPTree) descend(key uint64, own bool) (int, error) {
+	addr, err := t.h.ReadRoot()
+	if err != nil {
+		return 0, err
+	}
+	for d := 0; d < bptMaxDepth; d++ {
+		l := &t.path[d]
+		if l.buf == nil {
+			l.buf = make([]byte, bptNode)
+		}
+		img, err := t.nodeImage(addr, d, l.buf)
+		if err != nil {
+			return 0, err
+		}
+		if own && &img[0] != &l.buf[0] {
+			img = l.buf[:copy(l.buf, img)]
+		}
+		l.addr, l.img = addr, img
+		if bptIsLeaf(img) {
+			return d, nil
+		}
+		l.pos = bptSearch(img, key)
+		if bptHas(img, l.pos, key) {
+			l.pos++
+		}
+		addr = bptPtr(img, l.pos)
+	}
+	return 0, fmt.Errorf("ds: corrupt b+tree: no leaf within %d levels", bptMaxDepth)
+}
+
+// writeNode logs the whole image of a node built in memory.
 func (t *BPTree) writeNode(addr uint64, n *bptNodeT) error {
-	return t.h.Write(addr, encodeBPT(n))
+	return t.h.Write(addr, n.encode(t.unit))
 }
 
 // Header bytes an in-place rewrite dirties: the count alone, or — the kept
@@ -176,14 +275,29 @@ func (t *BPTree) patchNode(addr uint64, n *bptNodeT, hdr int, keys, ptrs [2]int)
 		core.Range{Off: bptPtrsOff + 8*ptrs[0], Len: 8 * (ptrs[1] - ptrs[0])})
 }
 
+// putBlobImage encodes the blob unit of val — {vlen u32, value, zeroes to
+// the capacity} — over img.
+func putBlobImage(img, val []byte) []byte {
+	binary.LittleEndian.PutUint32(img, uint32(len(val)))
+	clear(img[4+copy(img[4:], val):])
+	return img
+}
+
+// blobValue returns a copy of the value a blob unit holds.
+func blobValue(img []byte) ([]byte, error) {
+	vlen := binary.LittleEndian.Uint32(img)
+	if int(vlen) > len(img)-4 {
+		return nil, fmt.Errorf("ds: corrupt value blob (vlen=%d)", vlen)
+	}
+	return append([]byte(nil), img[4:4+vlen]...), nil
+}
+
 // blobParams encodes {key, blob image} op-log parameters: the blob image
 // starts at byte 8, exactly as it will sit in NVM.
 func (t *BPTree) blobParams(key uint64, val []byte) []byte {
-	p := make([]byte, 8+4+t.cap)
-	binary.LittleEndian.PutUint64(p, key)
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(val)))
-	copy(p[12:], val)
-	return p
+	binary.LittleEndian.PutUint64(t.params, key)
+	putBlobImage(t.params[blobSrcOff:], val)
+	return t.params
 }
 
 // blobParamsSplit decodes blobParams for replay.
@@ -206,29 +320,11 @@ const blobSrcOff = 8
 // bytes came from the current op record (opAbs != 0) the memory log uses
 // the pointer form ({opAbs, srcOff}) instead of inlining them.
 func (t *BPTree) writeBlob(addr uint64, val []byte, opAbs uint64) error {
-	padded := make([]byte, t.cap+4)
-	binary.LittleEndian.PutUint32(padded, uint32(len(val)))
-	copy(padded[4:], val)
+	img := putBlobImage(t.params[blobSrcOff:], val)
 	if opAbs != 0 {
-		return t.h.WriteFromOp(addr, padded, opAbs, blobSrcOff)
+		return t.h.WriteFromOp(addr, img, opAbs, blobSrcOff)
 	}
-	return t.h.Write(addr, padded)
-}
-
-func (t *BPTree) readBlob(addr uint64, cacheable bool) ([]byte, error) {
-	buf, err := t.h.Read(addr, t.cap+4, cacheable)
-	if err != nil {
-		return nil, err
-	}
-	return t.decodeBlob(buf)
-}
-
-func (t *BPTree) decodeBlob(buf []byte) ([]byte, error) {
-	vlen := binary.LittleEndian.Uint32(buf)
-	if int(vlen) > t.cap {
-		return nil, fmt.Errorf("ds: corrupt value blob (vlen=%d)", vlen)
-	}
-	return append([]byte(nil), buf[4:4+vlen]...), nil
+	return t.h.Write(addr, img)
 }
 
 // Put inserts or updates key. The op-log parameters embed the exact blob
@@ -253,103 +349,76 @@ func (t *BPTree) Put(key uint64, val []byte) error {
 	return t.w.end()
 }
 
+// put descends to the leaf and inserts there; a node that overflows splits
+// and hands the separator key and its new right sibling to the level above,
+// up to a new root. Only a node that changes is decoded, from the copy of
+// it the descent left in its level's buffer.
 func (t *BPTree) put(key uint64, val []byte, opAbs uint64) error {
-	root, err := t.h.ReadRoot()
+	d, err := t.descend(key, true)
 	if err != nil {
 		return err
 	}
-	promoKey, newNode, err := t.insert(root, 0, key, val, opAbs)
+	leaf := &t.path[d]
+	pos := bptSearch(leaf.img, key)
+	if bptHas(leaf.img, pos, key) {
+		// Update: rewrite the blob only.
+		return t.writeBlob(bptPtr(leaf.img, pos), val, opAbs)
+	}
+	blob, err := t.h.Alloc(t.cap + 4)
 	if err != nil {
 		return err
 	}
-	if newNode != 0 {
-		// Root split: a new internal root points at the halves.
-		nr := &bptNodeT{n: 1}
-		nr.keys[0] = promoKey
-		nr.ptrs[0] = root
-		nr.ptrs[1] = newNode
-		addr, err := t.h.Alloc(bptNode)
-		if err != nil {
-			return err
-		}
-		if err := t.writeNode(addr, nr); err != nil {
-			return err
-		}
-		return t.h.WriteRoot(addr)
+	if err := t.writeBlob(blob, val, opAbs); err != nil {
+		return err
 	}
-	return nil
-}
-
-// insert descends to the leaf; on overflow it splits and returns the
-// separator key and the new right sibling for the parent to absorb.
-func (t *BPTree) insert(addr uint64, depth int, key uint64, val []byte, opAbs uint64) (uint64, uint64, error) {
-	n, err := t.readNode(addr, depth)
-	if err != nil {
-		return 0, 0, err
-	}
-	if n.isLeaf {
-		pos := searchKeys(n, key)
-		if pos < n.n && n.keys[pos] == key {
-			// Update: rewrite the blob only.
-			return 0, 0, t.writeBlob(n.ptrs[pos], val, opAbs)
-		}
-		blob, err := t.h.Alloc(t.cap + 4)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := t.writeBlob(blob, val, opAbs); err != nil {
-			return 0, 0, err
-		}
-		// Shift in.
-		for i := n.n; i > pos; i-- {
-			n.keys[i] = n.keys[i-1]
-			n.ptrs[i] = n.ptrs[i-1]
-		}
-		n.keys[pos] = key
-		n.ptrs[pos] = blob
-		n.n++
-		if n.n <= bptMaxKeys {
-			return 0, 0, t.patchNode(addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos, n.n})
-		}
-		return t.splitLeaf(addr, n, pos)
-	}
-	// Internal: pick the child.
-	pos := searchKeys(n, key)
-	if pos < n.n && n.keys[pos] == key {
-		pos++
-	}
-	promo, newChild, err := t.insert(n.ptrs[pos], depth+1, key, val, opAbs)
-	if err != nil {
-		return 0, 0, err
-	}
-	if newChild == 0 {
-		return 0, 0, nil
-	}
+	n := &t.node
+	n.decode(leaf.img)
+	// Shift in.
 	for i := n.n; i > pos; i-- {
 		n.keys[i] = n.keys[i-1]
-		n.ptrs[i+1] = n.ptrs[i]
+		n.ptrs[i] = n.ptrs[i-1]
 	}
-	n.keys[pos] = promo
-	n.ptrs[pos+1] = newChild
+	n.keys[pos] = key
+	n.ptrs[pos] = blob
 	n.n++
 	if n.n <= bptMaxKeys {
-		return 0, 0, t.patchNode(addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos + 1, n.n + 1})
+		return t.patchNode(leaf.addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos, n.n})
 	}
-	return t.splitInternal(addr, n, pos)
-}
-
-// searchKeys returns the first index with keys[i] >= key.
-func searchKeys(n *bptNodeT, key uint64) int {
-	lo, hi := 0, n.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	promo, newChild, err := t.splitLeaf(leaf.addr, n, pos)
+	for d--; err == nil && d >= 0; d-- {
+		// Internal: absorb the child's split.
+		l := &t.path[d]
+		n.decode(l.img)
+		pos := l.pos
+		for i := n.n; i > pos; i-- {
+			n.keys[i] = n.keys[i-1]
+			n.ptrs[i+1] = n.ptrs[i]
 		}
+		n.keys[pos] = promo
+		n.ptrs[pos+1] = newChild
+		n.n++
+		if n.n <= bptMaxKeys {
+			return t.patchNode(l.addr, n, bptHdrCount, [2]int{pos, n.n}, [2]int{pos + 1, n.n + 1})
+		}
+		promo, newChild, err = t.splitInternal(l.addr, n, pos)
 	}
-	return lo
+	if err != nil {
+		return err
+	}
+	// Root split: a new internal root points at the halves.
+	nr := &t.sib
+	*nr = bptNodeT{n: 1}
+	nr.keys[0] = promo
+	nr.ptrs[0] = t.path[0].addr
+	nr.ptrs[1] = newChild
+	addr, err := t.h.Alloc(bptNode)
+	if err != nil {
+		return err
+	}
+	if err := t.writeNode(addr, nr); err != nil {
+		return err
+	}
+	return t.h.WriteRoot(addr)
 }
 
 // splitLeaf splits an overfull (n = maxKeys+1 logical) leaf. The caller
@@ -361,7 +430,8 @@ func searchKeys(n *bptNodeT, key uint64) int {
 // the insert shifted — the moved-out slots stay behind as stale bytes.
 func (t *BPTree) splitLeaf(addr uint64, n *bptNodeT, pos int) (uint64, uint64, error) {
 	mid := n.n / 2
-	right := &bptNodeT{isLeaf: true, next: n.next}
+	right := &t.sib
+	*right = bptNodeT{isLeaf: true, next: n.next}
 	right.n = n.n - mid
 	for i := 0; i < right.n; i++ {
 		right.keys[i] = n.keys[mid+i]
@@ -386,7 +456,8 @@ func (t *BPTree) splitLeaf(addr uint64, n *bptNodeT, pos int) (uint64, uint64, e
 func (t *BPTree) splitInternal(addr uint64, n *bptNodeT, pos int) (uint64, uint64, error) {
 	mid := n.n / 2
 	promo := n.keys[mid]
-	right := &bptNodeT{}
+	right := &t.sib
+	*right = bptNodeT{}
 	right.n = n.n - mid - 1
 	for i := 0; i < right.n; i++ {
 		right.keys[i] = n.keys[mid+1+i]
@@ -409,41 +480,29 @@ func (t *BPTree) splitInternal(addr uint64, n *bptNodeT, pos int) (uint64, uint6
 	return promo, rAddr, nil
 }
 
-// Get looks up a key under the retry seqlock.
+// Get looks up a key under the retry seqlock. The value it returns is the
+// caller's own copy — its one allocation.
 func (t *BPTree) Get(key uint64) ([]byte, bool, error) {
 	t.h.Conn().Frontend().ChargeOp()
 	var out []byte
 	var found bool
 	err := readRetry(t.h, func() error {
 		out, found = nil, false
-		root, err := t.h.ReadRoot()
+		d, err := t.descend(key, false)
 		if err != nil {
 			return err
 		}
-		addr := root
-		depth := 0
-		for {
-			n, err := t.readNode(addr, depth)
+		leaf := t.path[d].img
+		if pos := bptSearch(leaf, key); bptHas(leaf, pos, key) {
+			img, err := t.h.ReadInto(bptPtr(leaf, pos), t.blob, t.pol.cacheable(d+1))
 			if err != nil {
 				return err
 			}
-			pos := searchKeys(n, key)
-			if n.isLeaf {
-				if pos < n.n && n.keys[pos] == key {
-					v, err := t.readBlob(n.ptrs[pos], t.pol.cacheable(depth+1))
-					if err != nil {
-						return err
-					}
-					out, found = v, true
-				}
-				return nil
-			}
-			if pos < n.n && n.keys[pos] == key {
-				pos++
-			}
-			addr = n.ptrs[pos]
-			depth++
+			out, err = blobValue(img)
+			found = err == nil
+			return err
 		}
+		return nil
 	})
 	t.pol.observe(t.h.Conn().Frontend().Stats())
 	return out, found, err
@@ -457,50 +516,32 @@ func (t *BPTree) Scan(start uint64, limit int) ([]uint64, [][]byte, error) {
 	var vals [][]byte
 	err := readRetry(t.h, func() error {
 		keys, vals = nil, nil
-		root, err := t.h.ReadRoot()
+		d, err := t.descend(start, false)
 		if err != nil {
 			return err
 		}
-		addr := root
-		depth := 0
-		var leaf *bptNodeT
-		for {
-			n, err := t.readNode(addr, depth)
-			if err != nil {
-				return err
-			}
-			if n.isLeaf {
-				leaf = n
-				break
-			}
-			pos := searchKeys(n, start)
-			if pos < n.n && n.keys[pos] == start {
-				pos++
-			}
-			addr = n.ptrs[pos]
-			depth++
-		}
-		for leaf != nil && len(keys) < limit {
+		for leaf := t.path[d].img; len(keys) < limit; {
 			// Gather the leaf's qualifying blob pointers and post them as
 			// one multi-get: a range scan's value fetches are independent
 			// reads, so the whole leaf costs one doorbell-group round trip
-			// per queue-depth window instead of one RTT per value.
+			// per queue-depth window instead of one RTT per value. The leaf
+			// may be the cache's view: everything is taken from it first.
 			var leafKeys []uint64
 			var blobAddrs []uint64
-			for i := 0; i < leaf.n && len(keys)+len(leafKeys) < limit; i++ {
-				if leaf.keys[i] < start {
-					continue
+			for i, n := 0, bptN(leaf); i < n && len(keys)+len(leafKeys) < limit; i++ {
+				if k := bptKey(leaf, i); k >= start {
+					leafKeys = append(leafKeys, k)
+					blobAddrs = append(blobAddrs, bptPtr(leaf, i))
 				}
-				leafKeys = append(leafKeys, leaf.keys[i])
-				blobAddrs = append(blobAddrs, leaf.ptrs[i])
 			}
+			next := bptNext(leaf)
 			if len(blobAddrs) > 0 {
 				bufs, err := t.h.ReadMulti(blobAddrs, t.cap+4, false)
 				if err != nil {
 					return err
 				}
 				for j, buf := range bufs {
-					v, err := t.decodeBlob(buf)
+					v, err := blobValue(buf)
 					if err != nil {
 						return err
 					}
@@ -508,14 +549,12 @@ func (t *BPTree) Scan(start uint64, limit int) ([]uint64, [][]byte, error) {
 					vals = append(vals, v)
 				}
 			}
-			if leaf.next == 0 {
+			if next == 0 {
 				break
 			}
-			nn, err := t.readNode(leaf.next, 99)
-			if err != nil {
+			if leaf, err = t.nodeImage(next, 99, t.path[d].buf); err != nil {
 				return err
 			}
-			leaf = nn
 		}
 		return nil
 	})

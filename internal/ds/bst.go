@@ -131,7 +131,7 @@ func (t *BST) Put(key uint64, val []byte) error {
 	if err := t.w.begin(); err != nil {
 		return err
 	}
-	if _, err := t.h.OpLog(OpPut, kvParams(key, val)); err != nil {
+	if _, err := t.h.OpLog(OpPut, t.kv(key, val)); err != nil {
 		return err
 	}
 	if err := t.put(key, val); err != nil {

@@ -84,6 +84,9 @@ type kvBase struct {
 	w      writerSession
 	cap    int
 	writer bool
+	// params is the op-log parameter buffer every operation of the structure
+	// encodes into: OpLog copies what it is given into the op buffer.
+	params []byte
 }
 
 func newKVBase(h *core.Handle, opts Options, writer bool) kvBase {
@@ -115,12 +118,15 @@ func (b *kvBase) Close() error {
 	return b.h.WriterUnlock()
 }
 
-// kvParams encodes {key, value} op-log parameters.
-func kvParams(key uint64, val []byte) []byte {
-	p := make([]byte, 8+len(val))
-	binary.LittleEndian.PutUint64(p, key)
-	copy(p[8:], val)
-	return p
+// kv encodes {key, value} op-log parameters in the structure's buffer.
+func (b *kvBase) kv(key uint64, val []byte) []byte {
+	b.params = appendKV(b.params[:0], key, val)
+	return b.params
+}
+
+// appendKV appends {key, value} op-log parameters to dst.
+func appendKV(dst []byte, key uint64, val []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, key), val...)
 }
 
 // splitKV decodes {key, value} op-log parameters.
@@ -130,10 +136,6 @@ func splitKV(p []byte) (uint64, []byte, error) {
 	}
 	return binary.LittleEndian.Uint64(p), p[8:], nil
 }
-
-// valSrcOff is the offset of the value inside kvParams, used by
-// WriteFromOp pointer entries.
-const valSrcOff = 8
 
 // writerSession brackets one write operation: it takes the per-op lock
 // when configured, and always marks the operation boundary.

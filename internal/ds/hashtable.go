@@ -20,10 +20,23 @@ import (
 const htHdr = 24
 
 // HashTable is a persistent chained hash map, SWMR like every structure.
+// Like its handle, a HashTable belongs to one actor: a chain is walked and a
+// node built in buffers the table owns.
 type HashTable struct {
 	kvBase
 	buckets uint64
 	arr     uint64 // global address of the bucket array
+	// Walk scratch: the bucket word and the chain node a miss is fetched
+	// into, delete's private copy of the predecessor it relinks, and the
+	// image of the node a put writes (Handle.Write copies).
+	word             [8]byte
+	node, prev, unit []byte
+}
+
+func newHashTable(h *core.Handle, opts Options, writer bool, arr, buckets uint64) *HashTable {
+	t := &HashTable{kvBase: newKVBase(h, opts, writer), buckets: buckets, arr: arr}
+	t.node, t.prev, t.unit = make([]byte, t.nodeSize()), make([]byte, t.nodeSize()), make([]byte, t.nodeSize())
+	return t
 }
 
 func (t *HashTable) nodeSize() int { return htHdr + t.cap }
@@ -52,7 +65,7 @@ func CreateHashTable(c *core.Conn, name string, opts Options) (*HashTable, error
 	if err := h.Flush(); err != nil {
 		return nil, err
 	}
-	t := &HashTable{kvBase: newKVBase(h, opts, true), buckets: uint64(opts.Buckets), arr: arr}
+	t := newHashTable(h, opts, true, arr, uint64(opts.Buckets))
 	if !opts.LockPerOp {
 		if err := h.WriterLock(); err != nil {
 			return nil, err
@@ -72,7 +85,7 @@ func OpenHashTable(c *core.Conn, name string, writer bool, opts Options) (*HashT
 	if err != nil {
 		return nil, err
 	}
-	t := &HashTable{kvBase: newKVBase(h, opts, writer), arr: binary.LittleEndian.Uint64(meta[:8]), buckets: binary.LittleEndian.Uint64(meta[8:])}
+	t := newHashTable(h, opts, writer, binary.LittleEndian.Uint64(meta[:8]), binary.LittleEndian.Uint64(meta[8:]))
 	if writer {
 		if !opts.LockPerOp {
 			if err := h.WriterLock(); err != nil {
@@ -92,23 +105,55 @@ func (t *HashTable) bucketAddr(key uint64) uint64 {
 	return t.arr + idx*8
 }
 
+// encodeNode builds a node image in the table's scratch.
 func (t *HashTable) encodeNode(next, key uint64, val []byte) []byte {
-	buf := make([]byte, t.nodeSize())
+	buf := t.unit
 	binary.LittleEndian.PutUint64(buf, next)
 	binary.LittleEndian.PutUint64(buf[8:], key)
 	binary.LittleEndian.PutUint32(buf[16:], uint32(len(val)))
-	copy(buf[htHdr:], val)
+	clear(buf[htHdr+copy(buf[htHdr:], val):])
 	return buf
 }
 
-func (t *HashTable) decodeNode(buf []byte) (next, key uint64, val []byte, err error) {
-	next = binary.LittleEndian.Uint64(buf)
-	key = binary.LittleEndian.Uint64(buf[8:])
-	vlen := binary.LittleEndian.Uint32(buf[16:])
-	if int(vlen) > t.cap {
-		return 0, 0, nil, fmt.Errorf("ds: corrupt hash node (vlen=%d)", vlen)
+// Accessors over a node image, so a walk reads the unit where it lies.
+func htNext(img []byte) uint64  { return binary.LittleEndian.Uint64(img) }
+func htKey(img []byte) uint64   { return binary.LittleEndian.Uint64(img[8:]) }
+func htVlen(img []byte) int     { return int(binary.LittleEndian.Uint32(img[16:])) }
+func htValue(img []byte) []byte { return img[htHdr : htHdr+htVlen(img)] }
+
+// check validates a node image before anything is taken from it.
+func (t *HashTable) check(img []byte) error {
+	if vlen := htVlen(img); vlen > t.cap {
+		return fmt.Errorf("ds: corrupt hash node (vlen=%d)", vlen)
 	}
-	return next, key, append([]byte(nil), buf[htHdr:htHdr+int(vlen)]...), nil
+	return nil
+}
+
+// decodeNode decodes a node image a multi-get fetched, copying the value.
+func (t *HashTable) decodeNode(buf []byte) (next, key uint64, val []byte, err error) {
+	if err := t.check(buf); err != nil {
+		return 0, 0, nil, err
+	}
+	return htNext(buf), htKey(buf), append([]byte(nil), htValue(buf)...), nil
+}
+
+// bucketHead reads the chain head the bucket word at bAddr holds.
+func (t *HashTable) bucketHead(bAddr uint64) (uint64, error) {
+	w, err := t.h.ReadInto(bAddr, t.word[:], true)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w), nil
+}
+
+// chainNode reads the chain node at addr: a view ReadInto serves — read-only,
+// good until the walk's next read — or the table's node buffer.
+func (t *HashTable) chainNode(addr uint64) ([]byte, error) {
+	img, err := t.h.ReadInto(addr, t.node, true)
+	if err != nil {
+		return nil, err
+	}
+	return img, t.check(img)
 }
 
 // Put inserts or updates key.
@@ -119,11 +164,10 @@ func (t *HashTable) Put(key uint64, val []byte) error {
 	if err := t.w.begin(); err != nil {
 		return err
 	}
-	opAbs, err := t.h.OpLog(OpPut, kvParams(key, val))
-	if err != nil {
+	if _, err := t.h.OpLog(OpPut, t.kv(key, val)); err != nil {
 		return err
 	}
-	if err := t.put(key, val, opAbs); err != nil {
+	if err := t.put(key, val); err != nil {
 		return err
 	}
 	return t.w.end()
@@ -177,28 +221,23 @@ func (t *HashTable) PutMulti(keys []uint64, vals [][]byte) error {
 	return err
 }
 
-func (t *HashTable) put(key uint64, val []byte, opAbs uint64) error {
+func (t *HashTable) put(key uint64, val []byte) error {
 	bAddr := t.bucketAddr(key)
-	headB, err := t.h.Read(bAddr, 8, true)
+	head, err := t.bucketHead(bAddr)
 	if err != nil {
 		return err
 	}
-	head := binary.LittleEndian.Uint64(headB)
 	// Walk the chain looking for the key.
 	for n := head; n != 0; {
-		buf, err := t.h.Read(n, t.nodeSize(), true)
+		img, err := t.chainNode(n)
 		if err != nil {
 			return err
 		}
-		next, k, _, err := t.decodeNode(buf)
-		if err != nil {
-			return err
-		}
-		if k == key {
+		if htKey(img) == key {
 			// In-place update: rewrite the whole node unit.
-			return t.h.Write(n, t.encodeNode(next, key, val))
+			return t.h.Write(n, t.encodeNode(htNext(img), key, val))
 		}
-		n = next
+		n = htNext(img)
 	}
 	// Insert at the chain head.
 	node, err := t.h.Alloc(t.nodeSize())
@@ -208,38 +247,32 @@ func (t *HashTable) put(key uint64, val []byte, opAbs uint64) error {
 	if err := t.h.Write(node, t.encodeNode(head, key, val)); err != nil {
 		return err
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], node)
-	_ = opAbs // bucket word is tiny; pointer-form logging buys nothing here
-	return t.h.Write(bAddr, b[:])
+	binary.LittleEndian.PutUint64(t.word[:], node)
+	return t.h.Write(bAddr, t.word[:])
 }
 
-// Get looks a key up. Readers retry under the seqlock.
+// Get looks a key up. Readers retry under the seqlock. The value is the
+// caller's own copy — the lookup's one allocation.
 func (t *HashTable) Get(key uint64) ([]byte, bool, error) {
 	t.h.Conn().Frontend().ChargeOp()
 	var out []byte
 	var found bool
 	err := readRetry(t.h, func() error {
 		out, found = nil, false
-		bAddr := t.bucketAddr(key)
-		headB, err := t.h.Read(bAddr, 8, true)
+		n, err := t.bucketHead(t.bucketAddr(key))
 		if err != nil {
 			return err
 		}
-		for n := binary.LittleEndian.Uint64(headB); n != 0; {
-			buf, err := t.h.Read(n, t.nodeSize(), true)
+		for n != 0 {
+			img, err := t.chainNode(n)
 			if err != nil {
 				return err
 			}
-			next, k, v, err := t.decodeNode(buf)
-			if err != nil {
-				return err
-			}
-			if k == key {
-				out, found = v, true
+			if htKey(img) == key {
+				out, found = append([]byte(nil), htValue(img)...), true
 				return nil
 			}
-			n = next
+			n = htNext(img)
 		}
 		return nil
 	})
@@ -314,7 +347,7 @@ func (t *HashTable) Delete(key uint64) (bool, error) {
 	if err := t.w.begin(); err != nil {
 		return false, err
 	}
-	if _, err := t.h.OpLog(OpDelete, kvParams(key, nil)); err != nil {
+	if _, err := t.h.OpLog(OpDelete, t.kv(key, nil)); err != nil {
 		return false, err
 	}
 	removed, err := t.delete(key)
@@ -326,46 +359,42 @@ func (t *HashTable) Delete(key uint64) (bool, error) {
 
 func (t *HashTable) delete(key uint64) (bool, error) {
 	bAddr := t.bucketAddr(key)
-	headB, err := t.h.Read(bAddr, 8, true)
+	n, err := t.bucketHead(bAddr)
 	if err != nil {
 		return false, err
 	}
-	prev := uint64(0)
-	var prevBuf []byte
-	for n := binary.LittleEndian.Uint64(headB); n != 0; {
-		buf, err := t.h.Read(n, t.nodeSize(), true)
+	for prev := uint64(0); n != 0; {
+		img, err := t.chainNode(n)
 		if err != nil {
 			return false, err
 		}
-		next, k, _, err := t.decodeNode(buf)
-		if err != nil {
-			return false, err
-		}
-		if k == key {
+		next := htNext(img)
+		if htKey(img) == key {
 			if prev == 0 {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], next)
-				if err := t.h.Write(bAddr, b[:]); err != nil {
-					return false, err
-				}
+				binary.LittleEndian.PutUint64(t.word[:], next)
+				err = t.h.Write(bAddr, t.word[:])
 			} else {
 				// Relink the predecessor: of its unit only next changes.
-				binary.LittleEndian.PutUint64(prevBuf, next)
-				if err := t.h.WriteRanges(prev, prevBuf, core.Range{Off: 0, Len: 8}); err != nil {
-					return false, err
-				}
+				binary.LittleEndian.PutUint64(t.prev, next)
+				err = t.h.WriteRanges(prev, t.prev, core.Range{Off: 0, Len: 8})
+			}
+			if err != nil {
+				return false, err
 			}
 			t.h.DelayedFree(n, t.nodeSize())
 			return true, nil
 		}
-		prev, prevBuf = n, buf
-		n = next
+		// Keep the walk's own copy of what may become the predecessor: img can
+		// be the cache's bytes, which the next read may evict and a patch must
+		// not reach anyway.
+		copy(t.prev, img)
+		prev, n = n, next
 	}
 	return false, nil
 }
 
 var hashTableReplay = replayTable[*HashTable]{
-	put: func(t *HashTable, key uint64, val []byte) error { return t.put(key, val, 0) },
+	put: (*HashTable).put,
 	del: func(t *HashTable, key uint64) error { _, err := t.delete(key); return err },
 }
 

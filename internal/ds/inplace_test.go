@@ -1,0 +1,330 @@
+package ds
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"testing"
+	"time"
+
+	"asymnvm/internal/backend"
+	"asymnvm/internal/core"
+)
+
+// inPlaceFigures is everything the simulator counts for a front-end: the
+// verbs, their bytes, the cache's decisions, the log entries, the clock.
+type inPlaceFigures struct {
+	RDMARead, RDMAWrite, BytesRead, BytesWrite int64
+	CacheHit, CacheMiss, CacheEvict, MemLogs   int64
+	Clock                                      time.Duration
+}
+
+func figuresOf(fe *core.Frontend) inPlaceFigures {
+	st := fe.Stats()
+	return inPlaceFigures{
+		RDMARead: st.RDMARead.Load(), RDMAWrite: st.RDMAWrite.Load(),
+		BytesRead: st.BytesRead.Load(), BytesWrite: st.BytesWrite.Load(),
+		CacheHit: st.CacheHit.Load(), CacheMiss: st.CacheMiss.Load(),
+		CacheEvict: st.CacheEvict.Load(), MemLogs: st.MemLogs.Load(),
+		Clock: fe.Clock().Now(),
+	}
+}
+
+// inPlaceConn connects a front-end with the default latency profile, so the
+// clock is part of what is pinned.
+func inPlaceConn(t *testing.T, r *rig, mode core.Mode) *core.Conn {
+	t.Helper()
+	fe := core.NewFrontend(core.FrontendOptions{ID: 1, Mode: mode})
+	c, err := fe.Connect(r.bk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// inPlaceOps is the length of the pinned streams. The structure is drained
+// every drainEvery operations: often enough that the overlay never reaches
+// its prune threshold — what a read finds there must follow the operations,
+// not how far the replayer has got — and seldom enough that reads do hit it.
+const inPlaceOps = 600
+
+// bptStream runs the B+Tree stream: ascending inserts (so 600 operations
+// split the root and then an inner node), inserts in the middle, updates,
+// sorted vector puts, gets of present and absent keys, scans — every result
+// checked against a map.
+func bptStream(t *testing.T, tr *BPTree, drainEvery int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20))
+	want := map[uint64][]byte{}
+	top := uint64(0)
+	fresh := func() uint64 { top += 3; return top }
+	old := func() uint64 { return 3 * (uint64(rng.Intn(int(top/3)+1)) + 1) }
+	put := func(k uint64, v []byte) {
+		if err := tr.Put(k, v); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+		want[k] = v
+	}
+	for i := 0; i < inPlaceOps; i++ {
+		switch r := rng.Intn(12); {
+		case r < 6:
+			put(fresh(), val(i))
+		case r == 6:
+			put(old(), val(i))
+		case r == 7:
+			put(old()+1, val(i))
+		case r == 8:
+			keys := []uint64{fresh(), old(), fresh(), old() + 2, fresh(), fresh()}
+			vals := make([][]byte, len(keys))
+			for j, k := range keys {
+				vals[j] = val(1000*i + j)
+				want[k] = vals[j]
+			}
+			if err := tr.VectorPut(keys, vals); err != nil {
+				t.Fatalf("vector put: %v", err)
+			}
+		case r < 11:
+			k := old() + uint64(rng.Intn(3))
+			v, ok, err := tr.Get(k)
+			if w, present := want[k]; err != nil || ok != present || !bytes.Equal(v, w) {
+				t.Fatalf("get %d: %q ok=%v err=%v, want %q present=%v", k, v, ok, err, w, present)
+			}
+		default:
+			start := old()
+			keys, vals, err := tr.Scan(start, 12)
+			if err != nil {
+				t.Fatalf("scan %d: %v", start, err)
+			}
+			for j, k := range keys {
+				if k < start || j > 0 && k <= keys[j-1] || !bytes.Equal(vals[j], want[k]) {
+					t.Fatalf("scan %d: entry %d is %d=%q, want %q", start, j, k, vals[j], want[k])
+				}
+			}
+		}
+		if (i+1)%drainEvery == 0 {
+			if err := tr.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Uncharged walk down the leftmost spine of the drained tree.
+	h := tr.Handle()
+	ep := h.Conn().Endpoint()
+	node := make([]byte, bptNode)
+	depth := 1
+	for addr, err := ep.Load64Quiet(backend.AddrOff(h.RootAddr())); ; depth++ {
+		if err == nil {
+			err = ep.ReadQuiet(backend.AddrOff(addr), node)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node[2] == 1 {
+			break
+		}
+		addr = binary.LittleEndian.Uint64(node[bptPtrsOff:])
+	}
+	if depth < 3 {
+		t.Fatalf("the stream built a tree %d deep: no inner node split", depth)
+	}
+}
+
+// htStream runs the hash-table stream over 48 buckets, so chains are long:
+// inserts, in-place updates, gets and multi-gets of present and absent keys,
+// and — in the last third, after the last insert, so that no allocation can
+// depend on when the lazy collector's host-time floor lets a freed node go —
+// deletes from the head and the middle of chains.
+func htStream(t *testing.T, ht *HashTable, drainEvery int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20))
+	want := map[uint64][]byte{}
+	var live []uint64
+	top := uint64(0)
+	anyKey := func() uint64 { return uint64(rng.Intn(int(top)+8)) + 1 }
+	check := func(k uint64, v []byte, ok bool) {
+		if w, present := want[k]; ok != present || !bytes.Equal(v, w) {
+			t.Fatalf("key %d: %q ok=%v, want %q present=%v", k, v, ok, w, present)
+		}
+	}
+	for i := 0; i < inPlaceOps; i++ {
+		r := rng.Intn(10)
+		switch inserting := i < 2*inPlaceOps/3; {
+		case r < 4 && inserting:
+			top++
+			if err := ht.Put(top, val(i)); err != nil {
+				t.Fatal(err)
+			}
+			want[top] = val(i)
+			live = append(live, top)
+		case r < 4:
+			j := rng.Intn(len(live))
+			k := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			removed, err := ht.Delete(k)
+			if err != nil || !removed {
+				t.Fatalf("delete %d: removed=%v err=%v", k, removed, err)
+			}
+			delete(want, k)
+		case r < 6 && len(live) > 0:
+			k := live[rng.Intn(len(live))]
+			v := val(i)[:6+rng.Intn(9)]
+			if err := ht.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		case r < 9:
+			k := anyKey()
+			v, ok, err := ht.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(k, v, ok)
+		default:
+			keys := make([]uint64, 6)
+			for j := range keys {
+				keys[j] = anyKey()
+			}
+			vals, found, err := ht.GetMulti(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, k := range keys {
+				check(k, vals[j], found[j])
+			}
+		}
+		if (i+1)%drainEvery == 0 {
+			if err := ht.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ht.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInPlaceUnchanged: walking and patching unit images where they lie is a
+// host-side change — every verb, byte, cache decision, log entry and clock
+// tick of a fixed operation stream is what the copying structures produced.
+// The figures are the parent commit's, measured there with this test.
+func TestInPlaceUnchanged(t *testing.T) {
+	o := Options{Create: testCreate, Buckets: 48}
+	rows := []struct {
+		name string
+		mode core.Mode
+		run  func(t *testing.T, c *core.Conn)
+		want inPlaceFigures
+	}{
+		{"bptree/RC", core.ModeRC(4 << 10), func(t *testing.T, c *core.Conn) {
+			tr, err := CreateBPTree(c, "inplace", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bptStream(t, tr, 5)
+		}, inPlaceFigures{RDMARead: 946, RDMAWrite: 471, BytesRead: 201348, BytesWrite: 196948, CacheHit: 1896, CacheMiss: 287, CacheEvict: 279, MemLogs: 2734, Clock: 4038152}},
+		{"bptree/RCB64-pipe8", core.ModeRCB(8<<10, 64).WithPipeline(8), func(t *testing.T, c *core.Conn) {
+			tr, err := CreateBPTree(c, "inplace", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bptStream(t, tr, 150)
+		}, inPlaceFigures{RDMARead: 189, RDMAWrite: 479, BytesRead: 61316, BytesWrite: 163362, CacheHit: 805, CacheMiss: 69, CacheEvict: 41, MemLogs: 2734, Clock: 1832498}},
+		{"hashtable/R", core.ModeR(), func(t *testing.T, c *core.Conn) {
+			ht, err := CreateHashTable(c, "inplace", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			htStream(t, ht, 32)
+		}, inPlaceFigures{RDMARead: 2843, RDMAWrite: 362, BytesRead: 198176, BytesWrite: 56322, CacheHit: 0, CacheMiss: 0, CacheEvict: 0, MemLogs: 516, Clock: 7240026}},
+		{"hashtable/RC", core.ModeRC(4 << 10), func(t *testing.T, c *core.Conn) {
+			ht, err := CreateHashTable(c, "inplace", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			htStream(t, ht, 32)
+		}, inPlaceFigures{RDMARead: 1539, RDMAWrite: 362, BytesRead: 115424, BytesWrite: 56322, CacheHit: 1304, CacheMiss: 1526, CacheEvict: 1428, MemLogs: 516, Clock: 4548802}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := inPlaceConn(t, newRig(t), row.mode)
+			row.run(t, c)
+			if got := figuresOf(c.Frontend()); got != row.want {
+				t.Fatalf("%d operations moved the simulator:\n got %#v\nwant %#v", inPlaceOps, got, row.want)
+			}
+		})
+	}
+}
+
+// TestBPTreeSplitRewritesEvictedAncestor forces the hazard a put's
+// copy-on-hit exists for. The cache holds three nodes and replaces at
+// random, so a fetch below a node the descent found cached can evict it, and
+// the next fetch is admitted into the entry — and the image buffer — the
+// eviction handed back: the cache's view of the ancestor now holds another
+// node's bytes. When the insert then splits its way up to that ancestor,
+// the rewrite must start from the copy the descent took. The test counts the
+// puts where exactly that happened — an ancestor cached before the put, gone
+// after it, and rewritten by it — and checks the tree against a map. Patching
+// through the cache's view instead fails it: the first such put corrupts the
+// tree.
+func TestBPTreeSplitRewritesEvictedAncestor(t *testing.T) {
+	mode := core.ModeRC(3 * bptNode)
+	mode.Policy = core.PolicyRR
+	c := newRig(t).conn(1, mode)
+	bt, err := CreateBPTree(c, "hazard", Options{Create: testCreate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, memLogs := c.Frontend().Cache(), &c.Frontend().Stats().MemLogs
+	want := map[uint64][]byte{}
+	seen := map[uint64]bool{}   // every node address a descent has visited
+	cached := map[uint64]bool{} // those of them the cache held before the put
+	hazards, k := 0, uint64(0)
+	for i := 0; i < 4000; i++ {
+		for a := range seen {
+			cached[a] = cache.Contains(a)
+		}
+		logs := memLogs.Load()
+		k = (k + 2654435761) % 100003
+		if err := bt.Put(k+1, val(i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		want[k+1] = val(i)
+		// An insert logs the blob and the leaf at the least, and leaves in
+		// t.node the topmost node it rewrote.
+		for d := 0; memLogs.Load()-logs >= 2 && !bptIsLeaf(bt.path[d].img); d++ {
+			l := &bt.path[d]
+			if &bt.node.img[0] == &l.buf[0] && cached[l.addr] && !cache.Contains(l.addr) {
+				hazards++
+			}
+		}
+		for d := 0; ; d++ {
+			seen[bt.path[d].addr] = true
+			if bptIsLeaf(bt.path[d].img) {
+				break
+			}
+		}
+		// Drained, the next descent reads the cache and the fabric, not the
+		// overlay.
+		if i%3 == 0 {
+			if err := bt.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if hazards == 0 {
+		t.Fatal("no put rewrote an ancestor that a fetch below it had evicted: the hazard was not exercised")
+	}
+	t.Logf("%d puts rewrote an ancestor evicted under them", hazards)
+	if err := bt.Handle().VerifyOverlay(); err != nil {
+		t.Fatal(err)
+	}
+	for k, w := range want {
+		if v, ok, err := bt.Get(k); err != nil || !ok || !bytes.Equal(v, w) {
+			t.Fatalf("get %d: %q ok=%v err=%v, want %q", k, v, ok, err, w)
+		}
+	}
+}

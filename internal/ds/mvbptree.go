@@ -75,6 +75,19 @@ func newMVBPTree(h *core.Handle, opts Options, writer bool) (*MVBPTree, error) {
 	return t, nil
 }
 
+// encodeBPT and decodeBPT are the allocating codec of a tree that builds a
+// new node for every node it changes.
+func encodeBPT(n *bptNodeT) []byte { return n.encode(make([]byte, bptNode)) }
+
+func decodeBPT(buf []byte) (*bptNodeT, error) {
+	if err := bptCheck(buf); err != nil {
+		return nil, err
+	}
+	n := new(bptNodeT)
+	n.decode(buf)
+	return n, nil
+}
+
 func (t *MVBPTree) readNode(addr uint64, depth int) (*bptNodeT, error) {
 	buf, err := t.h.Read(addr, bptNode, t.pol.cacheable(depth))
 	if err != nil {
@@ -93,12 +106,11 @@ func (t *MVBPTree) newNode(n *bptNodeT) (uint64, error) {
 }
 
 func (t *MVBPTree) writeBlob(val []byte) (uint64, error) {
-	bp := BPTree{kvBase: t.kvBase}
 	addr, err := t.h.Alloc(t.cap + 4)
 	if err != nil {
 		return 0, err
 	}
-	return addr, bp.writeBlob(addr, val, 0)
+	return addr, t.h.Write(addr, putBlobImage(make([]byte, t.cap+4), val))
 }
 
 // Put installs a new version containing the key.
@@ -109,7 +121,7 @@ func (t *MVBPTree) Put(key uint64, val []byte) error {
 	if err := t.w.begin(); err != nil {
 		return err
 	}
-	if _, err := t.h.OpLog(OpPut, kvParams(key, val)); err != nil {
+	if _, err := t.h.OpLog(OpPut, t.kv(key, val)); err != nil {
 		t.w.cancel()
 		return err
 	}
@@ -156,7 +168,7 @@ func (t *MVBPTree) insertCopy(addr uint64, depth int, key uint64, val []byte) (u
 	}
 	cp := *n // copy-on-write image
 	if n.isLeaf {
-		pos := searchKeys(n, key)
+		pos := bptSearch(n.img, key)
 		blob, err := t.writeBlob(val)
 		if err != nil {
 			return 0, 0, 0, err
@@ -196,7 +208,7 @@ func (t *MVBPTree) insertCopy(addr uint64, depth int, key uint64, val []byte) (u
 		}
 		return la, right.keys[0], ra, nil
 	}
-	pos := searchKeys(n, key)
+	pos := bptSearch(n.img, key)
 	if pos < n.n && n.keys[pos] == key {
 		pos++
 	}
@@ -249,20 +261,20 @@ func (t *MVBPTree) Get(key uint64) ([]byte, bool, error) {
 	}
 	addr := root
 	depth := 0
-	bp := BPTree{kvBase: t.kvBase, pol: t.pol}
 	for {
 		n, err := t.readNode(addr, depth)
 		if err != nil {
 			return nil, false, err
 		}
-		pos := searchKeys(n, key)
+		pos := bptSearch(n.img, key)
 		if n.isLeaf {
 			if pos < n.n && n.keys[pos] == key {
-				v, err := bp.readBlob(n.ptrs[pos], t.pol.cacheable(depth+1))
+				buf, err := t.h.Read(n.ptrs[pos], t.cap+4, t.pol.cacheable(depth+1))
 				if err != nil {
 					return nil, false, err
 				}
-				return v, true, nil
+				v, err := blobValue(buf)
+				return v, err == nil, err
 			}
 			return nil, false, nil
 		}

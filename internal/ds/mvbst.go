@@ -89,7 +89,7 @@ func (t *MVBST) Put(key uint64, val []byte) error {
 	if err := t.w.begin(); err != nil {
 		return err
 	}
-	if _, err := t.h.OpLog(OpPut, kvParams(key, val)); err != nil {
+	if _, err := t.h.OpLog(OpPut, t.kv(key, val)); err != nil {
 		t.w.cancel()
 		return err
 	}

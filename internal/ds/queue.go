@@ -24,6 +24,7 @@ type Queue struct {
 	size int
 	// buffered enqueues not yet materialized (annihilation, FIFO order).
 	buffered [][]byte
+	params   []byte // op-log parameter buffer (OpLog copies)
 }
 
 func (q *Queue) nodeSize() int { return stackHdr + q.cap }
@@ -114,7 +115,8 @@ func (q *Queue) Enqueue(val []byte) error {
 	if err := q.w.begin(); err != nil {
 		return err
 	}
-	if _, err := q.h.OpLog(OpPush, kvParams(0, val)); err != nil {
+	q.params = appendKV(q.params[:0], 0, val)
+	if _, err := q.h.OpLog(OpPush, q.params); err != nil {
 		return err
 	}
 	if q.batching() {

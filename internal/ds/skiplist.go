@@ -345,7 +345,7 @@ func (s *SkipList) Put(key uint64, val []byte) error {
 	if err := s.w.begin(); err != nil {
 		return err
 	}
-	if _, err := s.h.OpLog(OpPut, kvParams(key, val)); err != nil {
+	if _, err := s.h.OpLog(OpPut, s.kv(key, val)); err != nil {
 		return err
 	}
 	if err := s.put(key, val); err != nil {

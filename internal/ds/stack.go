@@ -32,6 +32,7 @@ type Stack struct {
 	// buffered holds pushes whose memory effects are deferred for
 	// annihilation. Only non-empty in batch mode.
 	buffered [][]byte
+	params   []byte // op-log parameter buffer (OpLog copies)
 }
 
 func (s *Stack) nodeSize() int { return stackHdr + s.cap }
@@ -131,7 +132,8 @@ func (s *Stack) Push(val []byte) error {
 	if err := s.w.begin(); err != nil {
 		return err
 	}
-	if _, err := s.h.OpLog(OpPush, kvParams(0, val)); err != nil {
+	s.params = appendKV(s.params[:0], 0, val)
+	if _, err := s.h.OpLog(OpPush, s.params); err != nil {
 		return err
 	}
 	if s.batching() {
