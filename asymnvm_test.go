@@ -214,7 +214,7 @@ func TestFacadeOpenersAndElastic(t *testing.T) {
 	if cl.Backend(0) == nil || client.Conn(1) == nil || client.Frontend() == nil {
 		t.Fatal("facade accessors returned nil")
 	}
-	if asymnvm.NewDevice(1 << 20) == nil {
+	if asymnvm.NewDevice(1<<20) == nil {
 		t.Fatal("NewDevice returned nil")
 	}
 

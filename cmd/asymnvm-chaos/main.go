@@ -133,4 +133,3 @@ func main() {
 		os.Exit(1)
 	}
 }
-

@@ -32,7 +32,7 @@ const (
 type autoTuner struct {
 	maxBatch, maxDepth int
 	batch, depth       int
-	additive           bool // false: slow-start doubling; true: post-backoff AIMD
+	additive           bool       // false: slow-start doubling; true: post-backoff AIMD
 	hist               stats.Hist // commit-phase latency, controller-owned
 	last               stats.HistSnapshot
 	lastSignal         int64 // amortized p95 of the previous window; 0 = none yet

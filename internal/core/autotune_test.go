@@ -55,8 +55,8 @@ func TestAutoTunerBacksOffOnRegression(t *testing.T) {
 	}
 	// Recovery is additive now: +max(1, max/8) per improving window.
 	before := tn.batch
-	feedCommits(tn, tuneEvalEvery, time.Millisecond)  // re-baseline (improvement)
-	feedCommits(tn, tuneEvalEvery, time.Millisecond)  // first additive step
+	feedCommits(tn, tuneEvalEvery, time.Millisecond) // re-baseline (improvement)
+	feedCommits(tn, tuneEvalEvery, time.Millisecond) // first additive step
 	if tn.batch != before+2+2 && tn.batch != before+2 {
 		t.Fatalf("additive recovery took batch from %d to %d, want +2 per window", before, tn.batch)
 	}

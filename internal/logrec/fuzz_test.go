@@ -122,7 +122,7 @@ func FuzzDecodeMig(f *testing.F) {
 	f.Add(valid[:len(valid)-3], uint64(7)) // torn: record cut mid-checksum
 	bad := append([]byte(nil), valid...)
 	bad[0] ^= 0xFF
-	f.Add(bad, uint64(7)) // flipped magic
+	f.Add(bad, uint64(7))   // flipped magic
 	f.Add(valid, uint64(8)) // replayed: stale sequence number
 	cut := &MigRecord{Kind: MigCutover, Slot: 5, Seq: 9, Epoch: 4, Payload: []byte("x")}
 	f.Add(cut.Encode(), uint64(9)) // cutover smuggling payload bytes

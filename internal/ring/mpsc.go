@@ -16,13 +16,13 @@ type mpscSlot[T any] struct {
 // (Vyukov's bounded queue with the consumer side simplified to one
 // goroutine). Any number of goroutines may Push; exactly one may Pop.
 type MPSC[T any] struct {
-	mask  uint64
-	slots []mpscSlot[T]
-	_     pad
-	enq   atomic.Uint64 // producer ticket counter
-	_     pad
-	deq   atomic.Uint64 // consumer cursor
-	_     pad
+	mask   uint64
+	slots  []mpscSlot[T]
+	_      pad
+	enq    atomic.Uint64 // producer ticket counter
+	_      pad
+	deq    atomic.Uint64 // consumer cursor
+	_      pad
 	closed atomic.Bool
 }
 

@@ -34,13 +34,13 @@ type pad [56]byte
 // Exactly one goroutine may call Push/Close and exactly one may call
 // Pop; both sides may call Len and Closed.
 type SPSC[T any] struct {
-	mask uint64
-	buf  []T
-	_    pad
-	head atomic.Uint64 // next slot to pop (consumer-owned)
-	_    pad
-	tail atomic.Uint64 // next slot to push (producer-owned)
-	_    pad
+	mask   uint64
+	buf    []T
+	_      pad
+	head   atomic.Uint64 // next slot to pop (consumer-owned)
+	_      pad
+	tail   atomic.Uint64 // next slot to push (producer-owned)
+	_      pad
 	closed atomic.Bool
 	// Cached cursors: each side works against a private mirror of its
 	// own cursor and a stale view of the other side's, refreshing the

@@ -47,18 +47,18 @@ type LoadgenConfig struct {
 
 // LoadgenResult summarizes one simulation.
 type LoadgenResult struct {
-	Offered   int64 // arrivals inside the horizon
-	Accepted  int64
-	Rejected  int64 // admission overload rejections
-	Breaker   int64 // breaker sheds
-	Expired   int64 // died in queue before dispatch
+	Offered      int64 // arrivals inside the horizon
+	Accepted     int64
+	Rejected     int64 // admission overload rejections
+	Breaker      int64 // breaker sheds
+	Expired      int64 // died in queue before dispatch
 	DeadlineMiss int64 // missed deadline during/after service
-	SlowDrop  int64 // completed but shed on the response path
-	Good      int64 // completed in time, response delivered
-	Elapsed   time.Duration
-	GoodputKOPS float64
-	P50, P99  time.Duration // accepted-and-completed request latency
-	MeanSvc   time.Duration // measured mean service time
+	SlowDrop     int64 // completed but shed on the response path
+	Good         int64 // completed in time, response delivered
+	Elapsed      time.Duration
+	GoodputKOPS  float64
+	P50, P99     time.Duration // accepted-and-completed request latency
+	MeanSvc      time.Duration // measured mean service time
 }
 
 func (r LoadgenResult) String() string {

@@ -17,20 +17,20 @@ type Phase uint8
 // round trips not attributable to a higher-level phase; PhaseRetireWait is
 // the residual (not-hidden-by-overlap) wait for posted-verb completions.
 const (
-	PhaseOp Phase = iota // one whole data-structure write operation
-	PhaseOpLogFlush      // rnvm_op_log persist (§4.3 durability point)
-	PhaseCommit          // rnvm_tx_write flush of buffered memory logs
-	PhaseFetch           // remote read serving a cache miss
-	PhaseCacheHit        // DRAM cache / overlay hits
-	PhaseVerb            // synchronous verb round trips
-	PhasePost            // work-request issue CPU cost
-	PhaseRetireWait      // un-hidden wait for doorbell-group completions
-	PhaseRPC             // ring RPC exchanges (malloc/free)
-	PhaseRetry           // retry backoff and failover handling
-	PhaseReplay          // back-end: applying one committed transaction
-	PhaseMirror          // back-end: forwarding state to mirrors
-	PhaseCPU             // fixed per-operation CPU charge
-	NumPhases            // sentinel: number of phases
+	PhaseOp         Phase = iota // one whole data-structure write operation
+	PhaseOpLogFlush              // rnvm_op_log persist (§4.3 durability point)
+	PhaseCommit                  // rnvm_tx_write flush of buffered memory logs
+	PhaseFetch                   // remote read serving a cache miss
+	PhaseCacheHit                // DRAM cache / overlay hits
+	PhaseVerb                    // synchronous verb round trips
+	PhasePost                    // work-request issue CPU cost
+	PhaseRetireWait              // un-hidden wait for doorbell-group completions
+	PhaseRPC                     // ring RPC exchanges (malloc/free)
+	PhaseRetry                   // retry backoff and failover handling
+	PhaseReplay                  // back-end: applying one committed transaction
+	PhaseMirror                  // back-end: forwarding state to mirrors
+	PhaseCPU                     // fixed per-operation CPU charge
+	NumPhases                    // sentinel: number of phases
 )
 
 var phaseNames = [NumPhases]string{

@@ -100,9 +100,9 @@ type Stats struct {
 	// MirrorStaleEpochs accumulates, over those reads, how many epochs the
 	// serving mirror trailed the primary — divide by MirrorReads for the
 	// average served staleness.
-	StripeConflicts  atomic.Int64
-	CASRetries       atomic.Int64
-	MirrorReads      atomic.Int64
+	StripeConflicts   atomic.Int64
+	CASRetries        atomic.Int64
+	MirrorReads       atomic.Int64
 	MirrorStaleEpochs atomic.Int64
 
 	// Elastic rebalancing counters. MigrationsActive is a gauge of
@@ -163,36 +163,36 @@ type Snapshot struct {
 // Snapshot captures the current counter values.
 func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
-		RDMARead:       s.RDMARead.Load(),
-		RDMAWrite:      s.RDMAWrite.Load(),
-		RDMAAtomic:     s.RDMAAtomic.Load(),
-		RPCCalls:       s.RPCCalls.Load(),
-		BytesRead:      s.BytesRead.Load(),
-		BytesWrite:     s.BytesWrite.Load(),
-		CacheHit:       s.CacheHit.Load(),
-		CacheMiss:      s.CacheMiss.Load(),
-		CacheEvict:     s.CacheEvict.Load(),
-		ReadRetry:      s.ReadRetry.Load(),
-		OpLogs:         s.OpLogs.Load(),
-		MemLogs:        s.MemLogs.Load(),
-		TxCommits:      s.TxCommits.Load(),
-		TxReplayed:     s.TxReplayed.Load(),
-		OpsAnnulled:    s.OpsAnnulled.Load(),
-		Allocs:         s.Allocs.Load(),
-		Frees:          s.Frees.Load(),
-		VerbRetries:    s.VerbRetries.Load(),
-		Failovers:      s.Failovers.Load(),
-		PostedVerbs:    s.PostedVerbs.Load(),
-		DoorbellGroups: s.DoorbellGroups.Load(),
-		QueueDepthSum:  s.QueueDepthSum.Load(),
-		OverlapSavedNS: s.OverlapSavedNS.Load(),
-		FanoutWindows:  s.FanoutWindows.Load(),
-		FanoutSavedNS:  s.FanoutSavedNS.Load(),
-		AutoTuneSteps:  s.AutoTuneSteps.Load(),
-		AutoTuneBatch:  s.AutoTuneBatch.Load(),
-		AutoTuneDepth:  s.AutoTuneDepth.Load(),
-		Checkpoints:    s.Checkpoints.Load(),
-		TruncatedBytes: s.TruncatedBytes.Load(),
+		RDMARead:          s.RDMARead.Load(),
+		RDMAWrite:         s.RDMAWrite.Load(),
+		RDMAAtomic:        s.RDMAAtomic.Load(),
+		RPCCalls:          s.RPCCalls.Load(),
+		BytesRead:         s.BytesRead.Load(),
+		BytesWrite:        s.BytesWrite.Load(),
+		CacheHit:          s.CacheHit.Load(),
+		CacheMiss:         s.CacheMiss.Load(),
+		CacheEvict:        s.CacheEvict.Load(),
+		ReadRetry:         s.ReadRetry.Load(),
+		OpLogs:            s.OpLogs.Load(),
+		MemLogs:           s.MemLogs.Load(),
+		TxCommits:         s.TxCommits.Load(),
+		TxReplayed:        s.TxReplayed.Load(),
+		OpsAnnulled:       s.OpsAnnulled.Load(),
+		Allocs:            s.Allocs.Load(),
+		Frees:             s.Frees.Load(),
+		VerbRetries:       s.VerbRetries.Load(),
+		Failovers:         s.Failovers.Load(),
+		PostedVerbs:       s.PostedVerbs.Load(),
+		DoorbellGroups:    s.DoorbellGroups.Load(),
+		QueueDepthSum:     s.QueueDepthSum.Load(),
+		OverlapSavedNS:    s.OverlapSavedNS.Load(),
+		FanoutWindows:     s.FanoutWindows.Load(),
+		FanoutSavedNS:     s.FanoutSavedNS.Load(),
+		AutoTuneSteps:     s.AutoTuneSteps.Load(),
+		AutoTuneBatch:     s.AutoTuneBatch.Load(),
+		AutoTuneDepth:     s.AutoTuneDepth.Load(),
+		Checkpoints:       s.Checkpoints.Load(),
+		TruncatedBytes:    s.TruncatedBytes.Load(),
 		RecoveryReplayOps: s.RecoveryReplayOps.Load(),
 		ServeAccepted:     s.ServeAccepted.Load(),
 		ServeRejected:     s.ServeRejected.Load(),
@@ -218,36 +218,36 @@ func (s *Stats) Snapshot() Snapshot {
 // Sub returns the per-field difference a-b, for measuring an interval.
 func (a Snapshot) Sub(b Snapshot) Snapshot {
 	return Snapshot{
-		RDMARead:       a.RDMARead - b.RDMARead,
-		RDMAWrite:      a.RDMAWrite - b.RDMAWrite,
-		RDMAAtomic:     a.RDMAAtomic - b.RDMAAtomic,
-		RPCCalls:       a.RPCCalls - b.RPCCalls,
-		BytesRead:      a.BytesRead - b.BytesRead,
-		BytesWrite:     a.BytesWrite - b.BytesWrite,
-		CacheHit:       a.CacheHit - b.CacheHit,
-		CacheMiss:      a.CacheMiss - b.CacheMiss,
-		CacheEvict:     a.CacheEvict - b.CacheEvict,
-		ReadRetry:      a.ReadRetry - b.ReadRetry,
-		OpLogs:         a.OpLogs - b.OpLogs,
-		MemLogs:        a.MemLogs - b.MemLogs,
-		TxCommits:      a.TxCommits - b.TxCommits,
-		TxReplayed:     a.TxReplayed - b.TxReplayed,
-		OpsAnnulled:    a.OpsAnnulled - b.OpsAnnulled,
-		Allocs:         a.Allocs - b.Allocs,
-		Frees:          a.Frees - b.Frees,
-		VerbRetries:    a.VerbRetries - b.VerbRetries,
-		Failovers:      a.Failovers - b.Failovers,
-		PostedVerbs:    a.PostedVerbs - b.PostedVerbs,
-		DoorbellGroups: a.DoorbellGroups - b.DoorbellGroups,
-		QueueDepthSum:  a.QueueDepthSum - b.QueueDepthSum,
-		OverlapSavedNS: a.OverlapSavedNS - b.OverlapSavedNS,
-		FanoutWindows:  a.FanoutWindows - b.FanoutWindows,
-		FanoutSavedNS:  a.FanoutSavedNS - b.FanoutSavedNS,
-		AutoTuneSteps:  a.AutoTuneSteps - b.AutoTuneSteps,
-		AutoTuneBatch:  a.AutoTuneBatch - b.AutoTuneBatch,
-		AutoTuneDepth:  a.AutoTuneDepth - b.AutoTuneDepth,
-		Checkpoints:    a.Checkpoints - b.Checkpoints,
-		TruncatedBytes: a.TruncatedBytes - b.TruncatedBytes,
+		RDMARead:          a.RDMARead - b.RDMARead,
+		RDMAWrite:         a.RDMAWrite - b.RDMAWrite,
+		RDMAAtomic:        a.RDMAAtomic - b.RDMAAtomic,
+		RPCCalls:          a.RPCCalls - b.RPCCalls,
+		BytesRead:         a.BytesRead - b.BytesRead,
+		BytesWrite:        a.BytesWrite - b.BytesWrite,
+		CacheHit:          a.CacheHit - b.CacheHit,
+		CacheMiss:         a.CacheMiss - b.CacheMiss,
+		CacheEvict:        a.CacheEvict - b.CacheEvict,
+		ReadRetry:         a.ReadRetry - b.ReadRetry,
+		OpLogs:            a.OpLogs - b.OpLogs,
+		MemLogs:           a.MemLogs - b.MemLogs,
+		TxCommits:         a.TxCommits - b.TxCommits,
+		TxReplayed:        a.TxReplayed - b.TxReplayed,
+		OpsAnnulled:       a.OpsAnnulled - b.OpsAnnulled,
+		Allocs:            a.Allocs - b.Allocs,
+		Frees:             a.Frees - b.Frees,
+		VerbRetries:       a.VerbRetries - b.VerbRetries,
+		Failovers:         a.Failovers - b.Failovers,
+		PostedVerbs:       a.PostedVerbs - b.PostedVerbs,
+		DoorbellGroups:    a.DoorbellGroups - b.DoorbellGroups,
+		QueueDepthSum:     a.QueueDepthSum - b.QueueDepthSum,
+		OverlapSavedNS:    a.OverlapSavedNS - b.OverlapSavedNS,
+		FanoutWindows:     a.FanoutWindows - b.FanoutWindows,
+		FanoutSavedNS:     a.FanoutSavedNS - b.FanoutSavedNS,
+		AutoTuneSteps:     a.AutoTuneSteps - b.AutoTuneSteps,
+		AutoTuneBatch:     a.AutoTuneBatch - b.AutoTuneBatch,
+		AutoTuneDepth:     a.AutoTuneDepth - b.AutoTuneDepth,
+		Checkpoints:       a.Checkpoints - b.Checkpoints,
+		TruncatedBytes:    a.TruncatedBytes - b.TruncatedBytes,
 		RecoveryReplayOps: a.RecoveryReplayOps - b.RecoveryReplayOps,
 		ServeAccepted:     a.ServeAccepted - b.ServeAccepted,
 		ServeRejected:     a.ServeRejected - b.ServeRejected,

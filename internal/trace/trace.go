@@ -31,29 +31,29 @@ type Kind uint8
 
 // Span kinds. Kinds marked (event) are instantaneous markers.
 const (
-	KindOp           Kind = iota // one data-structure write operation
-	KindOpLogFlush               // op-log append flush (durability point)
-	KindCommit                   // rnvm_tx_write flush of memory logs
-	KindFetch                    // remote read serving a cache miss
-	KindCacheHit                 // DRAM cache / overlay hit
-	KindVerbRead                 // synchronous RDMA read round trip
-	KindVerbWrite                // synchronous RDMA write round trip
-	KindVerbAtomic               // CAS / fetch-add / 64-bit load/store
-	KindPost                     // work request posted to the send queue
-	KindDoorbell                 // doorbell rung (event; arg = group bytes)
-	KindRetireWait               // un-hidden wait for a posted completion
-	KindOverlapSaved             // fabric ns hidden by overlap (event; arg = ns)
-	KindRPC                      // ring RPC exchange (malloc/free)
-	KindRetryBackoff             // virtual-clock backoff before a retry
-	KindFailover                 // endpoint retarget (event; arg = injected err count)
-	KindReplay                   // back-end: applying one committed tx
-	KindMirrorFwd                // back-end: forwarding bytes to mirrors
-	KindCPU                      // fixed per-op CPU charge
-	KindCheckpoint               // back-end: compaction checkpoint (apply+truncate)
-	KindStripeAcquire            // ordered acquisition of one stripe's writer lock
-	KindMirrorRead               // read served from a mirror replica (arg = stale epochs)
-	KindCutover                  // migration cutover: map version flip (event; arg = new version)
-	NumKinds                     // sentinel
+	KindOp            Kind = iota // one data-structure write operation
+	KindOpLogFlush                // op-log append flush (durability point)
+	KindCommit                    // rnvm_tx_write flush of memory logs
+	KindFetch                     // remote read serving a cache miss
+	KindCacheHit                  // DRAM cache / overlay hit
+	KindVerbRead                  // synchronous RDMA read round trip
+	KindVerbWrite                 // synchronous RDMA write round trip
+	KindVerbAtomic                // CAS / fetch-add / 64-bit load/store
+	KindPost                      // work request posted to the send queue
+	KindDoorbell                  // doorbell rung (event; arg = group bytes)
+	KindRetireWait                // un-hidden wait for a posted completion
+	KindOverlapSaved              // fabric ns hidden by overlap (event; arg = ns)
+	KindRPC                       // ring RPC exchange (malloc/free)
+	KindRetryBackoff              // virtual-clock backoff before a retry
+	KindFailover                  // endpoint retarget (event; arg = injected err count)
+	KindReplay                    // back-end: applying one committed tx
+	KindMirrorFwd                 // back-end: forwarding bytes to mirrors
+	KindCPU                       // fixed per-op CPU charge
+	KindCheckpoint                // back-end: compaction checkpoint (apply+truncate)
+	KindStripeAcquire             // ordered acquisition of one stripe's writer lock
+	KindMirrorRead                // read served from a mirror replica (arg = stale epochs)
+	KindCutover                   // migration cutover: map version flip (event; arg = new version)
+	NumKinds                      // sentinel
 )
 
 var kindNames = [NumKinds]string{
@@ -77,23 +77,23 @@ func (k Kind) String() string {
 const noPhase = stats.NumPhases
 
 var kindPhase = [NumKinds]stats.Phase{
-	KindOp:           stats.PhaseOp,
-	KindOpLogFlush:   stats.PhaseOpLogFlush,
-	KindCommit:       stats.PhaseCommit,
-	KindFetch:        stats.PhaseFetch,
-	KindCacheHit:     stats.PhaseCacheHit,
-	KindVerbRead:     stats.PhaseVerb,
-	KindVerbWrite:    stats.PhaseVerb,
-	KindVerbAtomic:   stats.PhaseVerb,
-	KindPost:         stats.PhasePost,
-	KindDoorbell:     noPhase,
-	KindRetireWait:   stats.PhaseRetireWait,
-	KindOverlapSaved: noPhase,
-	KindRPC:          stats.PhaseRPC,
-	KindRetryBackoff: stats.PhaseRetry,
-	KindFailover:     noPhase,
-	KindReplay:       stats.PhaseReplay,
-	KindMirrorFwd:    stats.PhaseMirror,
+	KindOp:            stats.PhaseOp,
+	KindOpLogFlush:    stats.PhaseOpLogFlush,
+	KindCommit:        stats.PhaseCommit,
+	KindFetch:         stats.PhaseFetch,
+	KindCacheHit:      stats.PhaseCacheHit,
+	KindVerbRead:      stats.PhaseVerb,
+	KindVerbWrite:     stats.PhaseVerb,
+	KindVerbAtomic:    stats.PhaseVerb,
+	KindPost:          stats.PhasePost,
+	KindDoorbell:      noPhase,
+	KindRetireWait:    stats.PhaseRetireWait,
+	KindOverlapSaved:  noPhase,
+	KindRPC:           stats.PhaseRPC,
+	KindRetryBackoff:  stats.PhaseRetry,
+	KindFailover:      noPhase,
+	KindReplay:        stats.PhaseReplay,
+	KindMirrorFwd:     stats.PhaseMirror,
 	KindCPU:           stats.PhaseCPU,
 	KindCheckpoint:    stats.PhaseReplay,
 	KindStripeAcquire: stats.PhaseOp,
