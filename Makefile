@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the pre-merge gate: static
-# checks, the full race-enabled test suite, the determinism contract
+# checks (go vet, staticcheck where installed, and an empty `gofmt -l .`),
+# the full race-enabled test suite, the determinism contract
 # (`make determinism`), and the fixed-seed chaos
 # soak (5000 ops under crashes, partitions and truncations; exits
 # non-zero on any invariant violation).
@@ -17,11 +18,15 @@ all: check
 build:
 	$(GO) build ./...
 
-# go vet always; staticcheck when installed (CI installs it — see
+# go vet always, and gofmt: a file `gofmt -l .` lists fails the gate (run
+# `gofmt -w` on it). staticcheck when installed (CI installs it — see
 # .github/workflows/ci.yml — so the gate is enforced there even when a
 # local checkout lacks the binary).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
@@ -75,7 +80,9 @@ chaos-race: build
 # released (five soak pairs per test fit in memory only if they are).
 # internal/ds adds the skip list's read path: a reader's fabric reads,
 # hits, evictions and clock of one seed run twice, and a writer's cached
-# set and evictions with its overlay drained at different points.
+# set and evictions with its overlay drained at different points; and the
+# hash table's write path with a cache that fits: verbs, bytes and clock
+# the same whenever the overlay is retired.
 determinism:
 	GOMAXPROCS=1 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5
 	GOMAXPROCS=2 $(GO) test ./internal/chaos ./internal/ds -run Deterministic -count=5

@@ -489,13 +489,15 @@ func (b *Backend) serveRPC() {
 		}
 		resp := b.execRPC(req)
 		wire := EncodeRPCResponse(resp)
+		// Counted before the response is visible: whoever has seen the
+		// response has seen the count.
+		b.st.RPCCalls.Add(1)
 		if err := b.dev.WritePersist(b.layout.RPCRespOff(uint16(c)), wire); err != nil {
 			b.setErr(err)
 			return
 		}
 		b.chargeBusy(b.prof.LocalNVMWrite(64) + b.prof.PersistBarrier)
 		b.rpcLast[c] = req.Seq
-		b.st.RPCCalls.Add(1)
 		b.forwardRaw(b.layout.RPCRespOff(uint16(c)), wire)
 	}
 }

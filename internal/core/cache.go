@@ -28,9 +28,9 @@ const (
 // HybridSetSize is the random candidate-set size (32 in §4.4).
 const HybridSetSize = 32
 
-// cacheFreeMax bounds the recycled entries kept for the next admission: a
-// steady admit/evict cycle needs one, a burst (InvalidateTag) goes to the
-// garbage collector.
+// cacheFreeMax bounds the recycled entries kept, per image size, for the next
+// admissions: a steady admit/evict cycle needs a few, a burst (InvalidateTag)
+// goes to the garbage collector.
 const cacheFreeMax = 64
 
 type cacheEntry struct {
@@ -46,8 +46,8 @@ type cacheEntry struct {
 	key   uint64
 	keyed bool
 	rank  uint8
-	// Intrusive links: the recency list (front = most recent; the free list
-	// reuses next) and the owning tag's list.
+	// Intrusive links: the recency list (front = most recent) and the owning
+	// tag's list.
 	prev, next   *cacheEntry
 	tprev, tnext *cacheEntry
 }
@@ -82,11 +82,13 @@ type Cache struct {
 	tags     map[uint32]*tagSet // per-structure index: InvalidateTag, Floor
 	lru      cacheEntry         // recency list sentinel: next = most recent, prev = least
 	sample   []*cacheEntry
-	free     *cacheEntry // recycled entries, image buffers attached
-	nfree    int
-	tick     uint64
-	rng      *rand.Rand
-	st       *stats.Stats
+	free     sizedFree[cacheEntry] // recycled entries, image buffers attached
+	// filling holds from NewCache or Clear until the first eviction: so far a
+	// slot has cost nobody anything, and the write path admits too (Admit).
+	filling bool
+	tick    uint64
+	rng     *rand.Rand
+	st      *stats.Stats
 
 	tagScanned int // entries visited by the last InvalidateTag (test hook)
 }
@@ -234,6 +236,9 @@ func (c *Cache) put(addr uint64, data []byte, unit int, tag uint32, epoch uint64
 			c.link(e)
 		}
 		c.used += int64(len(data)) - int64(len(e.data))
+		if cap(e.data) > 2*len(data) {
+			e.data = nil // a unit's head over the unit it was written as: let the buffer go
+		}
 		e.data = append(e.data[:0], data...)
 		e.unit, e.epoch = unit, epoch
 		c.touch(e)
@@ -298,22 +303,28 @@ func (c *Cache) unlink(e *cacheEntry) {
 	}
 }
 
-// newEntry takes an entry off the free list, or allocates one, and copies
-// data into it. A recycled image buffer is reused when it fits without
-// holding more than twice the bytes it is accounted at.
+// newEntry takes an entry off the free list of data's size, image buffer
+// attached, or allocates one, and copies data into it.
 func (c *Cache) newEntry(data []byte) *cacheEntry {
-	e := c.free
+	e := c.free.take(len(data))
 	if e == nil {
 		return &cacheEntry{data: append([]byte(nil), data...)}
 	}
-	c.free, c.nfree = e.next, c.nfree-1
-	buf := e.data
-	*e = cacheEntry{}
-	if cap(buf) < len(data) || cap(buf) > 2*len(data) {
-		buf = make([]byte, 0, len(data))
-	}
-	e.data = append(buf[:0], data...)
+	*e = cacheEntry{data: append(e.data[:0], data...)}
 	return e
+}
+
+// Admit is the write path's admission (Handle.write): the whole unit a writer
+// has just written and the cache does not hold, valid at every epoch as the
+// writer's own bytes are. It is taken only while the cache is still filling
+// and only into free space; from the first eviction on only reads admit —
+// under pressure nothing says a written unit deserves a slot a read earned.
+// What the cache holds then follows the operation stream alone, not when the
+// overlay, which answered until then, let go.
+func (c *Cache) Admit(addr uint64, data []byte, tag uint32) {
+	if c.filling && c.used+int64(len(data)) <= c.capacity {
+		c.put(addr, data, len(data), tag, EpochAlways, false, 0, 0)
+	}
 }
 
 // Update applies an in-place sub-range modification to a cached entry if
@@ -366,8 +377,9 @@ func (c *Cache) Clear() {
 	c.tags = make(map[uint32]*tagSet)
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.sample = c.sample[:0]
-	c.free, c.nfree = nil, 0
+	c.free = sizedFree[cacheEntry]{limit: cacheFreeMax}
 	c.used = 0
+	c.filling = true
 }
 
 // touch makes e the most recently used entry.
@@ -391,14 +403,12 @@ func (c *Cache) remove(e *cacheEntry) {
 	c.sample[last] = nil
 	c.sample = c.sample[:last]
 	c.used -= int64(len(e.data))
-	if c.nfree < cacheFreeMax {
-		e.next, c.free = c.free, e
-		c.nfree++
-	}
+	c.free.give(len(e.data), e)
 }
 
 // evictOne removes one victim according to the policy.
 func (c *Cache) evictOne() {
+	c.filling = false
 	if len(c.sample) == 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"asymnvm/internal/stats"
@@ -503,5 +504,43 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 		if evicted := st.CacheEvict.Load() - before; evicted < 4096 {
 			t.Fatalf("keyed=%v: %d evictions over the measured admissions: the cache was not full", keyed, evicted)
 		}
+	}
+}
+
+// TestCacheChurnMixedSizesAllocates0: a cache that churns units of two sizes
+// — a hash table's 8-byte bucket words and 88-byte nodes, through a cache a
+// quarter of their footprint — builds an admission from an evicted entry of
+// the same size, so what an eviction frees fits what the admission needs
+// whichever size the victim was. A single free list allocated on most
+// admissions here: its head was the last victim, of either size.
+func TestCacheChurnMixedSizesAllocates0(t *testing.T) {
+	const units = 4096
+	c, st := newCache(units*(8+88)/4, PolicyHybrid)
+	word, node := make([]byte, 8), make([]byte, 88)
+	rng := rand.New(rand.NewSource(7))
+	admit := func() {
+		i := uint64(rng.Intn(units))
+		if rng.Intn(2) == 0 {
+			c.Put(i<<8, word, 1, EpochAlways)
+		} else {
+			c.Put(i<<8|0x80, node, 1, EpochAlways)
+		}
+	}
+	for i := 0; i < 8*units; i++ {
+		admit()
+	}
+	// testing.AllocsPerRun rounds its average down to a whole number: count.
+	before := st.CacheEvict.Load()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 4*units; i++ {
+		admit()
+	}
+	runtime.ReadMemStats(&m1)
+	if n := float64(m1.Mallocs-m0.Mallocs) / (4 * units); n > 0.05 {
+		t.Errorf("%.3f allocations per admission of mixed sizes, want at most 0.05", n)
+	}
+	if evicted := st.CacheEvict.Load() - before; evicted < units {
+		t.Fatalf("%d evictions over the measured admissions: the cache was not churning", evicted)
 	}
 }

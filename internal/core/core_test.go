@@ -996,11 +996,12 @@ func TestNaiveModeWritesRangesWhole(t *testing.T) {
 	}
 }
 
-// TestMaintenanceNeverStacks: a flush pays the hint persist (two atomic
-// stores) or the overlay prune (one atomic load of the LPN), never both — a
-// prune that falls due on a hint flush runs on the next one. The flush
-// counter is set so that the 49th mark, the first to make a prune due,
-// lands on a hint flush.
+// TestMaintenanceNeverStacks: maintenance never stacks a round trip of its
+// own on a commit. The tail hints are 16 more bytes of every hintEvery-th
+// commit vector and no atomic verb, so a prune costs its one atomic load of
+// the LPN on whatever flush it falls due — a hint flush included. The flush
+// counter is set so that the 49th mark, the first to make a prune due, lands
+// on one.
 func TestMaintenanceNeverStacks(t *testing.T) {
 	r := newRig(t, 16<<20)
 	fe := r.frontend(1, ModeR())
@@ -1014,33 +1015,40 @@ func TestMaintenanceNeverStacks(t *testing.T) {
 	}
 	h.flushCnt = hintEvery - 1 // hints on flushes 1, 17, 33, 49
 	st, img := fe.Stats(), make([]byte, 64)
-	flush := func(i int) (atomics int64) {
+	flush := func(i int) (atomics, wrote int64) {
 		img[0] = byte(i)
 		if err := h.Write(unit, img); err != nil {
 			t.Fatal(err)
 		}
-		before := st.RDMAAtomic.Load()
+		before := st.Snapshot()
 		if err := h.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return st.RDMAAtomic.Load() - before
+		d := st.Snapshot().Sub(before)
+		if d.RDMAWrite != 1 {
+			t.Fatalf("flush %d: %d write verbs, want the commit's one", i, d.RDMAWrite)
+		}
+		return d.RDMAAtomic, d.BytesWrite
 	}
-	for i := 1; i <= pruneMarks; i++ {
-		want := int64(0)
+	_, hinted := flush(1)
+	_, plain := flush(2)
+	if hinted != plain+int64(len(h.hintBuf)) {
+		t.Fatalf("a hint flush wrote %d bytes, a plain one %d: want the 16 hint bytes more", hinted, plain)
+	}
+	for i := 3; i <= pruneMarks; i++ {
+		want := plain
 		if i%hintEvery == 1 {
-			want = 2
+			want = hinted
 		}
-		if got := flush(i); got != want {
-			t.Fatalf("flush %d: %d atomic verbs, want %d", i, got, want)
+		if atomics, wrote := flush(i); atomics != 0 || wrote != want {
+			t.Fatalf("flush %d: %d atomic verbs and %d bytes, want none and %d", i, atomics, wrote, want)
 		}
-	}
-	if got := flush(pruneMarks + 1); got != 2 || len(h.marks) != pruneMarks+1 {
-		t.Fatalf("hint flush with a prune due: %d atomic verbs, %d marks; want the two hint stores alone", got, len(h.marks))
 	}
 	if err := h.waitReplayed(true); err != nil {
 		t.Fatal(err)
 	}
-	if got := flush(pruneMarks + 2); got != 1 || len(h.marks) > 1 {
-		t.Fatalf("flush after it: %d atomic verbs, %d marks; want the deferred prune's LPN load", got, len(h.marks))
+	if atomics, wrote := flush(pruneMarks + 1); atomics != 1 || wrote != hinted || len(h.marks) > 1 {
+		t.Fatalf("hint flush with a prune due: %d atomic verbs, %d bytes, %d marks left; want the prune's LPN load, %d bytes and at most the newest mark",
+			atomics, wrote, len(h.marks), hinted)
 	}
 }

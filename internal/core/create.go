@@ -220,6 +220,8 @@ func (c *Conn) Open(name string, writer bool) (*Handle, error) {
 // until records stop validating, and likewise for the op log. Stale or
 // torn tail records are simply where appending resumes — rewriting them
 // re-forms the transaction the back-end never acknowledged (Case 2.b/3.b).
+// A hint no valid record starts at — the tail itself, or a word a dying write
+// tore (persistHints) — is not trusted: the scan starts over at the cursor.
 func (h *Handle) recoverTails() error {
 	lpn, err := h.auxField(backend.AuxLPNOff)
 	if err != nil {
@@ -281,6 +283,10 @@ func (h *Handle) recoverTails() error {
 			return err
 		}
 		if used == 0 {
+			if start == memHint && start > lpn {
+				h.memTail, memHint = lpn, 0
+				continue
+			}
 			break
 		}
 		switch kind {
@@ -343,6 +349,10 @@ func (h *Handle) recoverTails() error {
 			return err
 		}
 		if used == 0 {
+			if h.opTail == opHint && opHint > opn {
+				h.opTail, opHint = opn, 0
+				continue
+			}
 			break
 		}
 		h.opTail += uint64(used)

@@ -15,8 +15,8 @@ import (
 
 // Write-path tuning knobs.
 const (
-	// hintEvery spaces out the advisory tail-hint persists (§5.1 metadata),
-	// keeping them off the per-operation path.
+	// hintEvery is how many commits apart the tail hints (§5.1 metadata)
+	// ride one: every hintEvery-th commit vector carries them.
 	hintEvery = 16
 	// pruneMarks bounds the number of un-pruned flush marks before the
 	// overlay consults the back-end LPN.
@@ -54,23 +54,8 @@ var ErrUnitMismatch = errors.New("core: read length does not match written unit"
 // whose memory logs have not been confirmed replayed yet.
 type ovEntry struct {
 	data []byte
-	refs int      // flush marks (plus the pending tx) still referencing it
-	next *ovEntry // free-list link, once out of the map
+	refs int // flush marks (plus the pending tx) still referencing it
 }
-
-// ovFreeList chains the recycled overlay entries of one unit size, images
-// attached. An entry gets here only out of the overlay and a new one is made
-// only when its size's list is empty, so the lists never hold more than the
-// overlay's own high-water mark.
-type ovFreeList struct {
-	size int
-	head *ovEntry
-}
-
-// ovFreeSizes bounds the unit sizes whose overlay entries are recycled — a
-// structure has a node, a word and perhaps a blob; entries of any further
-// size go to the garbage collector.
-const ovFreeSizes = 8
 
 // undoEnt records the overlay bytes one in-window rewrite displaced
 // (arena-sliced to keep the hot path allocation-steady). An abort
@@ -177,11 +162,13 @@ type Handle struct {
 	overlay map[uint64]*ovEntry
 	ovSeq   uint64
 	marks   []flushMark
-	// ovFree recycles the overlay entries the prune or an abort takes out of
-	// the map (see ovFreeList) and addrFree the address lists of pruned flush
-	// marks, each the pendingAddrs of a later transaction; Abort drops both.
-	ovFree   []ovFreeList
+	// ovFree recycles the overlay entries the prune, a drain or an abort takes
+	// out of the map and addrFree the address lists of retired flush marks,
+	// each the pendingAddrs of a later transaction; Abort drops both.
+	ovFree   sizedFree[ovEntry]
 	addrFree [][]uint64
+	// hintBuf is the tail-hint segment of a commit vector (see persistHints).
+	hintBuf [16]byte
 	// rootBuf is ReadRoot's fetch buffer: the root word, or — a multi-version
 	// reader — the root and the sequence number beside it.
 	rootBuf [24]byte
@@ -301,7 +288,8 @@ func (h *Handle) readEpoch() uint64 {
 // (authoritative for its unreplayed units), then the DRAM cache, which
 // answers only with an image that covers all n bytes. The view is the
 // owner's slice: read-only, an overlay's good until that unit is next
-// written, a cache's until anything is next admitted.
+// written, a cache's until anything is next admitted — by a read or, while
+// the cache fills, by a write.
 func (h *Handle) local(addr uint64, n int, cacheable bool) ([]byte, bool, error) {
 	fe := h.c.fe
 	var view []byte
@@ -558,7 +546,7 @@ func (h *Handle) write(addr uint64, unit []byte, dirty []Range, opAbs uint64, sr
 	}
 	// The pointer form only pays off when the op log is group committed
 	// ahead of the memory logs.
-	fromOp = fromOp && fe.mode.Batch > 1
+	opRef := fromOp && fe.mode.Batch > 1
 	logged := len(h.pending)
 	var cur Range
 	for _, r := range dirty {
@@ -572,11 +560,11 @@ func (h *Handle) write(addr uint64, unit []byte, dirty []Range, opAbs uint64, sr
 				cur.Len = end - cur.Off
 			}
 		default:
-			h.logRange(addr, unit, cur, opAbs, srcOff, fromOp)
+			h.logRange(addr, unit, cur, opAbs, srcOff, opRef)
 			cur = r
 		}
 	}
-	h.logRange(addr, unit, cur, opAbs, srcOff, fromOp)
+	h.logRange(addr, unit, cur, opAbs, srcOff, opRef)
 	if len(h.pending) == logged {
 		return nil
 	}
@@ -598,9 +586,11 @@ func (h *Handle) write(addr uint64, unit []byte, dirty []Range, opAbs uint64, sr
 	} else {
 		h.overlay[addr] = h.newOvEntry(unit)
 	}
-	// Write-through to the cache (Figure 4, step 4).
-	if fe.cache != nil {
-		fe.cache.Update(addr, 0, unit)
+	// Write-through to the cache (Figure 4, step 4): an image it holds is
+	// patched; one it lacks is admitted while the cache still fills, unless
+	// it is an operation's payload (fromOp): written once, never read back.
+	if c := fe.cache; c != nil && !c.Update(addr, 0, unit) && !fromOp {
+		c.Admit(addr, unit, h.tag)
 	}
 	return nil
 }
@@ -624,22 +614,10 @@ func (h *Handle) logRange(addr uint64, unit []byte, r Range, opAbs uint64, srcOf
 	h.pending = append(h.pending, e)
 }
 
-// ovList returns the free list of size-byte overlay units, if one is kept.
-func (h *Handle) ovList(size int) *ovFreeList {
-	for i := range h.ovFree {
-		if h.ovFree[i].size == size {
-			return &h.ovFree[i]
-		}
-	}
-	return nil
-}
-
 // newOvEntry returns an overlay entry holding a copy of unit with one
 // reference: a recycled one of that unit size, or a new one.
 func (h *Handle) newOvEntry(unit []byte) *ovEntry {
-	if fl := h.ovList(len(unit)); fl != nil && fl.head != nil {
-		oe := fl.head
-		fl.head, oe.next = oe.next, nil
+	if oe := h.ovFree.take(len(unit)); oe != nil {
 		oe.data, oe.refs = append(oe.data[:0], unit...), 1
 		return oe
 	}
@@ -659,11 +637,21 @@ func (h *Handle) unref(addr uint64) {
 		return
 	}
 	delete(h.overlay, addr)
-	if fl := h.ovList(len(oe.data)); fl != nil {
-		oe.next, fl.head = fl.head, oe
-	} else if len(h.ovFree) < ovFreeSizes {
-		h.ovFree = append(h.ovFree, ovFreeList{size: len(oe.data), head: oe})
+	h.ovFree.give(len(oe.data), oe)
+}
+
+// dropOverlay retires every overlay unit and flush mark at once (all applied,
+// or outdated by another front-end's writes) through the prune's recycling,
+// so a handle that drains per operation keeps its entries.
+func (h *Handle) dropOverlay() {
+	for _, oe := range h.overlay {
+		h.ovFree.give(len(oe.data), oe)
 	}
+	clear(h.overlay)
+	for _, m := range h.marks {
+		h.addrFree = append(h.addrFree, m.addrs[:0])
+	}
+	h.marks = h.marks[:0]
 }
 
 // OpLog implements rnvm_op_log: it appends {opType, params} for this
@@ -885,6 +873,17 @@ func (h *Handle) commit(prep *prepareHdr, async bool) (PendingFlush, error) {
 	}
 	split := len(vec)
 	vec = appendAreaOps(vec, h.memArea, h.memTail, wire)
+	if wire != nil && prep == nil && (h.flushCnt+1)%hintEvery == 0 {
+		// The tail hints, last (see persistHints): the memory log's as of this
+		// record's end, the op log's short of what a make-room flush leaves.
+		opTail := h.opTail
+		if h.opBufCnt > 0 && !withOps {
+			opTail = h.opBufAbs
+		}
+		putLE64(h.hintBuf[:8], h.memTail+uint64(len(wire)))
+		putLE64(h.hintBuf[8:], opTail)
+		vec = append(vec, rdma.WriteOp{Off: backend.AddrOff(h.auxAddr) + backend.AuxMemTailOff, Data: h.hintBuf[:]})
+	}
 	h.vec = vec
 	pf := PendingFlush{h: h, wireLen: len(wire), prepare: prep != nil}
 	// Posting pays when the caller overlaps the flight (async) or a queued
@@ -1085,20 +1084,12 @@ func (h *Handle) finishTx(wireLen int) error {
 	return h.maintain()
 }
 
-// maintain runs the amortized work that follows a commit: the hint persist
-// every hintEvery flushes, the overlay prune once more than pruneMarks
-// marks wait, the deferred frees. The first two never share a flush — a
-// prune that falls due on a hint flush runs on the next one. Left to
-// stack they resonate: the mark just appended is rarely applied when the
-// LPN is read, so one mark stays and the prune recurs every 48 flushes, a
-// multiple of hintEvery; a phase that host scheduling sets while the
-// structure is populated then decides whether no prune or every prune
-// lands on a hint flush, and one seed has two tail latencies.
+// maintain runs the amortized work that follows a commit: the overlay prune
+// once more than pruneMarks marks wait, and the deferred frees. (The tail
+// hints went out with the commit itself.)
 func (h *Handle) maintain() error {
 	var err error
-	if h.flushCnt%hintEvery == 0 {
-		h.persistHints()
-	} else if len(h.marks) > pruneMarks {
+	if len(h.marks) > pruneMarks {
 		err = h.pruneOverlay()
 	}
 	h.releaseDueGC()
@@ -1257,9 +1248,22 @@ func (h *Handle) pruneOverlay() error {
 	return nil
 }
 
-// persistHints stores the advisory tail positions so a recovering writer
-// can shorten its log scan (§5.1's metadata; correctness never depends on
-// these, only scan length).
+// persistHints stores the tail positions a recovering writer starts its log
+// scans at (§5.1's metadata), exactly and synchronously: the shared lock's
+// release, whose next holder adopts them as the tails. The periodic persist
+// is the last segment of every hintEvery-th commit vector instead (commit):
+// neighbouring words of one line of the aux block, 16 bytes and no trip.
+//
+// Invariant: at every crash point a durable hint <= the durable valid tail
+// of its log — recoverTails scans from max(LPN/OPN, hint), and above the
+// tail it would resume appending past a hole. It holds because a vector's
+// segments seal in posted order and a failed one flushes everything behind
+// it, so the hint is durable only over a durable record, and because the op
+// hint stops at opBufAbs while records wait unsent in the buffer
+// (waitOpSpace's make-room flush sends the memory record alone, opTail
+// already past them). A fault may still truncate the segment inside a word,
+// mixing an old tail and a new: below the new one, on no record boundary —
+// why recoverTails trusts only a hint a valid record starts at.
 func (h *Handle) persistHints() {
 	off, err := h.devOff(h.auxAddr)
 	if err != nil {
@@ -1299,8 +1303,7 @@ func (h *Handle) resyncShared() error {
 	if h.coveredOp < h.opTail {
 		h.coveredOp = h.opTail
 	}
-	h.overlay = make(map[uint64]*ovEntry)
-	h.marks = nil
+	h.dropOverlay()
 	if h.c.fe.cache != nil {
 		h.c.fe.cache.InvalidateTag(h.tag)
 	}
@@ -1368,7 +1371,7 @@ func (h *Handle) Abort() {
 	_ = h.settleAsyncOps(true)
 	h.abortOverlay()
 	h.clearPending()
-	h.ovFree, h.addrFree = nil, nil
+	h.ovFree, h.addrFree = sizedFree[ovEntry]{}, nil
 	if h.opBufCnt > 0 {
 		// Rewind over the never-persisted buffered op records only;
 		// already-flushed records are durable and stay.
@@ -1406,8 +1409,7 @@ func (h *Handle) Drain() error {
 		return err
 	}
 	// Everything applied; the overlay is no longer needed.
-	h.overlay = make(map[uint64]*ovEntry)
-	h.marks = nil
+	h.dropOverlay()
 	return nil
 }
 

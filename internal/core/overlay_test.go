@@ -70,16 +70,35 @@ func TestOverlayRecycles(t *testing.T) {
 		t.Errorf("a write/flush/prune cycle allocates %.0f times after warm-up, want 0", allocs)
 	}
 
+	// A handle that drains per operation — an MV root-CAS lane publishing, a
+	// shared stripe's release — drops the overlay and its marks wholesale, and
+	// through the same recycling: the next operation's entries are the last's.
+	drained := func() {
+		op(n)
+		n++
+		if err := h.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.overlay) != 0 || len(h.marks) != 0 {
+			t.Fatalf("a drain left %d overlay units and %d marks", len(h.overlay), len(h.marks))
+		}
+	}
+	drained()
+	if allocs := testing.AllocsPerRun(20, drained); allocs != 0 {
+		t.Errorf("a write/drain cycle allocates %.0f times after warm-up, want 0", allocs)
+	}
+
 	// A unit written into a recycled image reads back its own bytes, and so
 	// does the unit the image was taken from once it is written again.
 	if err := h.pruneOverlay(); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.overlay) != 0 || len(h.ovFree) != len(sizes) {
-		t.Fatalf("%d overlay units left, %d free lists: want every entry retired, by size", len(h.overlay), len(h.ovFree))
+	if len(h.overlay) != 0 || len(h.ovFree.sizes) != len(sizes) {
+		t.Fatalf("%d overlay units left, %d free lists: want every entry retired, by size", len(h.overlay), len(h.ovFree.sizes))
 	}
 	a, b := units[2][0], units[2][1]
-	was := h.ovFree[2].head
+	nodes := h.ovFree.sizes[2].ents
+	was := nodes[len(nodes)-1]
 	imgA, imgB := bytes.Repeat([]byte{0xA1}, 520), bytes.Repeat([]byte{0xB2}, 520)
 	write := func(addr uint64, unit []byte) {
 		t.Helper()
@@ -113,8 +132,8 @@ func TestOverlayRecycles(t *testing.T) {
 	write(c, imgC)
 	reads(a, imgA2)
 	h.Abort()
-	if _, held := h.overlay[c]; held || h.ovFree != nil {
-		t.Fatalf("after the abort: created unit still held=%v, free lists %v; want both dropped", held, h.ovFree)
+	if _, held := h.overlay[c]; held || len(h.ovFree.sizes) != 0 {
+		t.Fatalf("after the abort: created unit still held=%v, %d free lists; want both dropped", held, len(h.ovFree.sizes))
 	}
 	reads(a, imgA)
 	reads(b, imgB)

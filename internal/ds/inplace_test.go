@@ -210,7 +210,13 @@ func htStream(t *testing.T, ht *HashTable, drainEvery int) {
 // TestInPlaceUnchanged: walking and patching unit images where they lie is a
 // host-side change — every verb, byte, cache decision, log entry and clock
 // tick of a fixed operation stream is what the copying structures produced.
-// The figures are the parent commit's, measured there with this test.
+// The figures were the copying structures', measured with this test, until
+// write-through began to admit while the cache fills and the tail hints moved
+// into the commit vector; re-measured then, each row at or below the old one
+// on fabric reads and clock: 16 more bytes written and two atomic stores
+// fewer per hint flush (the 21 of both hash-table rows, the 27 of bptree/RC;
+// bptree/RCB64 commits too rarely to have one), fewer first reads of written
+// units, and the 4 KB caches full — evicting — sooner.
 func TestInPlaceUnchanged(t *testing.T) {
 	o := Options{Create: testCreate, Buckets: 48}
 	rows := []struct {
@@ -225,28 +231,28 @@ func TestInPlaceUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			bptStream(t, tr, 5)
-		}, inPlaceFigures{RDMARead: 946, RDMAWrite: 471, BytesRead: 201348, BytesWrite: 196948, CacheHit: 1896, CacheMiss: 287, CacheEvict: 279, MemLogs: 2734, Clock: 4038152}},
+		}, inPlaceFigures{RDMARead: 915, RDMAWrite: 471, BytesRead: 195232, BytesWrite: 197380, CacheHit: 1927, CacheMiss: 272, CacheEvict: 297, MemLogs: 2734, Clock: 3852780}},
 		{"bptree/RCB64-pipe8", core.ModeRCB(8<<10, 64).WithPipeline(8), func(t *testing.T, c *core.Conn) {
 			tr, err := CreateBPTree(c, "inplace", o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bptStream(t, tr, 150)
-		}, inPlaceFigures{RDMARead: 189, RDMAWrite: 479, BytesRead: 61316, BytesWrite: 163362, CacheHit: 805, CacheMiss: 69, CacheEvict: 41, MemLogs: 2734, Clock: 1832498}},
+		}, inPlaceFigures{RDMARead: 179, RDMAWrite: 479, BytesRead: 57004, BytesWrite: 163362, CacheHit: 856, CacheMiss: 63, CacheEvict: 109, MemLogs: 2734, Clock: 1810092}},
 		{"hashtable/R", core.ModeR(), func(t *testing.T, c *core.Conn) {
 			ht, err := CreateHashTable(c, "inplace", o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			htStream(t, ht, 32)
-		}, inPlaceFigures{RDMARead: 2843, RDMAWrite: 362, BytesRead: 198176, BytesWrite: 56322, CacheHit: 0, CacheMiss: 0, CacheEvict: 0, MemLogs: 516, Clock: 7240026}},
+		}, inPlaceFigures{RDMARead: 2843, RDMAWrite: 362, BytesRead: 198176, BytesWrite: 56658, CacheHit: 0, CacheMiss: 0, CacheEvict: 0, MemLogs: 516, Clock: 7147871}},
 		{"hashtable/RC", core.ModeRC(4 << 10), func(t *testing.T, c *core.Conn) {
 			ht, err := CreateHashTable(c, "inplace", o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			htStream(t, ht, 32)
-		}, inPlaceFigures{RDMARead: 1539, RDMAWrite: 362, BytesRead: 115424, BytesWrite: 56322, CacheHit: 1304, CacheMiss: 1526, CacheEvict: 1428, MemLogs: 516, Clock: 4548802}},
+		}, inPlaceFigures{RDMARead: 1504, RDMAWrite: 362, BytesRead: 112344, BytesWrite: 56658, CacheHit: 1339, CacheMiss: 1491, CacheEvict: 1437, MemLogs: 516, Clock: 4383812}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
