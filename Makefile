@@ -105,8 +105,9 @@ bench:
 
 # Wall-clock hot-path microbenchmarks (rings, doorbells, zero-alloc
 # codecs, the DRAM cache's ordered search and admit-with-evict at 65 k
-# keyed entries, a whole B+Tree put and a whole hash-table put) at a fixed
-# iteration count, for their ns/op. The hot paths have two gates and they
+# keyed entries, a whole B+Tree put, a whole hash-table put, GetInto and
+# 8-key GetMulti, and a whole served request — decode, admission, run queue,
+# operation, encode — in process) at a fixed iteration count, for their ns/op. The hot paths have two gates and they
 # live in different places. Allocations — 0 allocs/op in every cell, exact
 # on any host — are gated by `go test` (internal/bench TestHotpathAllocs,
 # so `make test` and `make race`): the first command below only prints the

@@ -1,11 +1,8 @@
-// Package arena provides the buffer-reuse primitives behind the
-// zero-allocation encode/decode paths: a single-owner bump allocator
-// for decode scratch (values parsed out of log records live exactly one
-// replay iteration) and a concurrency-safe frame pool for wire buffers
-// that cross goroutines (serve's pooled outbound frames).
+// Package arena provides the buffer-reuse primitive behind the
+// zero-allocation decode paths: a single-owner bump allocator for decode
+// scratch (values parsed out of log records live exactly one replay
+// iteration, a served request's until its reply).
 package arena
-
-import "sync"
 
 // chunkSize is the default arena chunk. Log-record values and request
 // payloads are bounded well below it, so one chunk serves the common
@@ -74,41 +71,4 @@ func (a *Arena) Cap() int {
 		n += len(c)
 	}
 	return n
-}
-
-// Pool recycles wire-frame byte slices across goroutines: the serve
-// executor encodes a response into a pooled frame, the connection's
-// writer goroutine writes it and puts it back. Get returns a zero-length
-// slice with at least the requested capacity, so callers append into it
-// and never see stale bytes.
-type Pool struct {
-	p sync.Pool
-}
-
-// minFrameCap keeps tiny first requests from seeding the pool with
-// useless capacities.
-const minFrameCap = 512
-
-// Get returns a frame with len 0 and cap >= n.
-func (p *Pool) Get(n int) []byte {
-	if v := p.p.Get(); v != nil {
-		b := v.([]byte)
-		if cap(b) >= n {
-			return b[:0]
-		}
-		// Too small for this caller; drop it and allocate fresh.
-	}
-	if n < minFrameCap {
-		n = minFrameCap
-	}
-	return make([]byte, 0, n)
-}
-
-// Put recycles a frame obtained from Get once no goroutine references
-// it anymore.
-func (p *Pool) Put(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	p.p.Put(b[:0]) //nolint:staticcheck // slice header boxing is the accepted cost
 }

@@ -68,25 +68,3 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state arena allocates %.1f/op, want 0", allocs)
 	}
 }
-
-func TestPoolRoundTrip(t *testing.T) {
-	var p Pool
-	b := p.Get(100)
-	if len(b) != 0 || cap(b) < 100 {
-		t.Fatalf("get: len=%d cap=%d", len(b), cap(b))
-	}
-	b = append(b, []byte("payload")...)
-	p.Put(b)
-	b2 := p.Get(4)
-	if len(b2) != 0 {
-		t.Fatalf("recycled frame has len %d, want 0", len(b2))
-	}
-}
-
-func TestPoolZeroValueUsable(t *testing.T) {
-	var p Pool
-	p.Put(nil) // must not panic or poison the pool
-	if b := p.Get(1); cap(b) < 1 {
-		t.Fatal("get after nil put returned unusable frame")
-	}
-}

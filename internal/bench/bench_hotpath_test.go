@@ -30,6 +30,9 @@ func BenchmarkHotpathCacheFloor(b *testing.B)      { b.ReportAllocs(); hotCacheF
 func BenchmarkHotpathCacheAdmitEvict(b *testing.B) { b.ReportAllocs(); hotCacheAdmitEvict(b) }
 func BenchmarkHotpathBPTreePut(b *testing.B)       { b.ReportAllocs(); hotBPTreePut(b) }
 func BenchmarkHotpathHashPut(b *testing.B)         { b.ReportAllocs(); hotHashPut(b) }
+func BenchmarkHotpathHashGet(b *testing.B)         { b.ReportAllocs(); hotHashGet(b) }
+func BenchmarkHotpathHashGetMulti(b *testing.B)    { b.ReportAllocs(); hotHashGetMulti(b) }
+func BenchmarkHotpathServeRequest(b *testing.B)    { b.ReportAllocs(); hotServeRequest(b) }
 
 // TestHotpathAllocs is the allocation gate, and it does not depend on the
 // host: every hot-path cell runs a fixed 200 iterations and fails on
@@ -81,6 +84,7 @@ func TestHotpathSweep(t *testing.T) {
 		"proto|request": false, "proto|response": false,
 		"cache|floor": false, "cache|admit-evict": false,
 		"bptree|put-rcb64-pipe8": false, "hashtable|put-rc": false,
+		"hashtable|get-rc": false, "hashtable|getmulti8-rc": false, "serve|request": false,
 		"spsc-vs-channel|speedup": false,
 	}
 	for _, r := range rows {

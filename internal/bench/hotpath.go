@@ -369,9 +369,7 @@ func hotPut(b *testing.B, mode core.Mode, keys uint64, create func(*core.Conn) (
 	val := make([]byte, 64)
 	x := uint64(0x9E3779B97F4A7C15)
 	put := func() {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
+		x = hotXorshift(x)
 		if err := kv.Put(x%keys+1, val); err != nil {
 			b.Fatal(err)
 		}
@@ -405,6 +403,141 @@ func hotHashPut(b *testing.B) {
 	})
 }
 
+// hotReadKeys is the population of the read and serving cells: a table the
+// 1 MB cache holds whole, the serving tier's shape.
+const hotReadKeys = hotPutWarm / 8
+
+// hotXorshift steps the cells' key generator.
+func hotXorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
+
+// hotTable builds a hash table of hotReadKeys 64-byte values behind a cache
+// that fits it, drained, on a one-back-end cluster the caller stops.
+func hotTable(b *testing.B) (*core.Frontend, *ds.HashTable, func()) {
+	cl, err := newAsymCluster(64 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe, conns, err := cl.NewFrontend(1, core.ModeRC(1<<20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ht, err := ds.CreateHashTable(conns[0], "hot", ds.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 64)
+	for k := uint64(1); k <= hotReadKeys; k++ {
+		if err := ht.Put(k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ht.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	return fe, ht, cl.Stop
+}
+
+// hotHashGet looks a key up into a buffer the caller keeps: the whole of a
+// served get below the tier.
+func hotHashGet(b *testing.B) {
+	_, ht, stop := hotTable(b)
+	defer stop()
+	dst := make([]byte, 0, 64)
+	x := uint64(0x9E3779B97F4A7C15)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		x = hotXorshift(x)
+		v, ok, err := ht.GetInto(x%hotReadKeys+1, dst[:0])
+		if err != nil || !ok {
+			b.Fatalf("get: ok=%v err=%v", ok, err)
+		}
+		dst = v
+	}
+}
+
+// hotHashGetMulti looks eight keys up in the table's own scratch.
+func hotHashGetMulti(b *testing.B) {
+	_, ht, stop := hotTable(b)
+	defer stop()
+	keys := make([]uint64, 8)
+	x := uint64(0x9E3779B97F4A7C15)
+	lookup := func() {
+		for i := range keys {
+			x = hotXorshift(x)
+			keys[i] = x%hotReadKeys + 1
+		}
+		if _, found, err := ht.GetMulti(keys); err != nil || !found[7] {
+			b.Fatalf("multi-get: err=%v", err)
+		}
+	}
+	lookup() // sizes the table's scratch
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		lookup()
+	}
+}
+
+// hotServeRequest runs the benchmark's serving mix — 14 gets, 4 puts, one
+// multi-get and one multi-put of 8 keys in 20, 64-byte values — through the
+// whole tier in process: decode into a recycled item, admission, the run
+// queue, the executor's operation, the response encoded into a frame the
+// reply recycles. The request payloads are framed before the timer starts and
+// there is no socket, so ns/op is the tier's own.
+func hotServeRequest(b *testing.B) {
+	fe, ht, stop := hotTable(b)
+	defer stop()
+	srv := serve.New(serve.Backends{FE: fe, KV: ht}, serve.DefaultOptions())
+	val := make([]byte, 64)
+	keys, vals := make([]uint64, 8), make([][]byte, 8)
+	for i := range vals {
+		vals[i] = val
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	key := func() uint64 { x = hotXorshift(x); return x%hotReadKeys + 1 }
+	payloads := make([][]byte, 1000)
+	for i := range payloads {
+		req := serve.Request{ID: uint64(i + 1), Tenant: 1}
+		switch p := i % 20; {
+		case p < 14:
+			req.Op, req.Key = serve.OpGet, key()
+		case p < 18:
+			req.Op, req.Key, req.Val = serve.OpPut, key(), val
+		default:
+			for j := range keys {
+				keys[j] = key()
+			}
+			req.Op, req.Keys = serve.OpGetMulti, keys
+			if p == 19 {
+				req.Op, req.Vals = serve.OpPutMulti, vals
+			}
+		}
+		payloads[i] = req.Encode()
+	}
+	var frame []byte
+	status := serve.StatusOK
+	reply := func(r serve.Response) {
+		status = r.Status
+		frame, _ = r.AppendFramed(frame[:0])
+	}
+	// One pass sizes the item, the frame and the table's scratch, and takes the
+	// handle past the overlay prunes that prime its free lists.
+	for i := 0; i < hotPutWarm; i++ {
+		srv.Inline(payloads[i%len(payloads)], reply)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		srv.Inline(payloads[n%len(payloads)], reply)
+		if status != serve.StatusOK || len(frame) == 0 {
+			b.Fatalf("request %d: status %d, %d-byte frame", n, status, len(frame))
+		}
+	}
+}
+
 // hotCells is every hot-path microbenchmark, in BENCH_hotpath.json's row
 // order. All of them are allocation-free by contract.
 var hotCells = []struct {
@@ -427,6 +560,9 @@ var hotCells = []struct {
 	{"cache", "admit-evict", hotCacheAdmitEvict},
 	{"bptree", "put-rcb64-pipe8", hotBPTreePut},
 	{"hashtable", "put-rc", hotHashPut},
+	{"hashtable", "get-rc", hotHashGet},
+	{"hashtable", "getmulti8-rc", hotHashGetMulti},
+	{"serve", "request", hotServeRequest},
 }
 
 // HotpathSweep runs every hot-path microbenchmark under

@@ -269,3 +269,72 @@ func TestWriteAdmitsWhileFilling(t *testing.T) {
 		}
 	})
 }
+
+// TestReadMultiHitOutlivesItsEviction pins ReadMulti's copy-on-hit: the cache
+// holds one unit, so the two misses late in the vector are admitted over the
+// hit early in it — the first evicts its entry, the second is copied into the
+// image buffer that eviction handed back. The early result must still hold
+// the bytes it had; a hit returned as a view of the cache would read as the
+// last unit. The buffer is the caller's, kept: a second call builds its
+// results in the same memory.
+func TestReadMultiHitOutlivesItsEviction(t *testing.T) {
+	r := newRig(t, 32<<20)
+	mode := ModeRC(64)
+	mode.Policy = PolicyLRU
+	fe := r.frontend(1, mode)
+	h, err := r.connect(fe).Create("multi", backend.TypeBST, smallOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs [3]uint64
+	var units [3][]byte
+	for i := range addrs {
+		if addrs[i], err = h.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+		units[i] = bytes.Repeat([]byte{byte(0xA0 + i)}, 64)
+		if _, err := h.OpLog(1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Write(addrs[i], units[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.EndOp(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the writes left in the cache, this read leaves the first unit.
+	fe.Cache().Clear()
+	var buf [64]byte
+	if _, err := h.ReadInto(addrs[0], buf[:], true); err != nil {
+		t.Fatal(err)
+	}
+	st := fe.Stats()
+	hits, evicts := st.CacheHit.Load(), st.CacheEvict.Load()
+	var mb MultiBuf
+	out, err := h.ReadMulti(&mb, addrs[:], 64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHit.Load()-hits != 1 || st.CacheEvict.Load()-evicts != 2 || !fe.Cache().Contains(addrs[2]) {
+		t.Fatalf("%d hits, %d evictions: meant to hit the first unit and evict it and the second for the third", st.CacheHit.Load()-hits, st.CacheEvict.Load()-evicts)
+	}
+	for i := range out {
+		if !bytes.Equal(out[i], units[i]) {
+			t.Fatalf("result %d is %x…, want %x…", i, out[i][:4], units[i][:4])
+		}
+	}
+	first := &out[0][0]
+	if out, err = h.ReadMulti(&mb, addrs[1:], 64, true); err != nil || !bytes.Equal(out[0], units[1]) {
+		t.Fatalf("second call: %x… err=%v", out[0][:4], err)
+	}
+	if &out[0][0] != first {
+		t.Fatal("a kept buffer's second call built its results elsewhere")
+	}
+}

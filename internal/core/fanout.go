@@ -67,7 +67,7 @@ type PendingReads struct {
 // Settle.
 func (h *Handle) PostReadMulti(addrs []uint64, n int, cacheable bool) (*PendingReads, error) {
 	if !h.c.pipelined() {
-		out, err := h.ReadMulti(addrs, n, cacheable)
+		out, err := h.ReadMulti(nil, addrs, n, cacheable)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"asymnvm/internal/arena"
@@ -431,49 +432,65 @@ func (h *Handle) ReadInto(addr uint64, dst []byte, cacheable bool) ([]byte, erro
 	return dst, nil
 }
 
+// MultiBuf is what one ReadMulti builds its results in: the result vector,
+// one slab that holds every unit, and the miss lists. A caller that keeps one
+// reads without allocating, and its results are good until that buffer's
+// next ReadMulti.
+type MultiBuf struct {
+	out     [][]byte
+	slab    []byte
+	missIdx []int
+	ops     []rdma.ReadOp
+}
+
 // ReadMulti is the multi-get companion of Read: every address is looked
 // up at unit size n through overlay and cache first, and the misses are
 // fetched as independent one-sided reads posted to the connection's
 // pipeline — one doorbell group per queue-depth window instead of one
-// round trip per address. Results index-match addrs (each the caller's
-// own copy). This is what turns a multi-node traversal (B+-tree leaf scan,
-// hash-chain walk across keys) from RTT-bound into bandwidth-bound.
-func (h *Handle) ReadMulti(addrs []uint64, n int, cacheable bool) ([][]byte, error) {
+// round trip per address. Results index-match addrs and lie in mb (nil: a
+// fresh one, so the results are the caller's own). A hit is copied there,
+// not returned as a view: a view dies at the next admission, and the misses
+// of this very call are admitted before it returns. This is what turns a
+// multi-node traversal (B+-tree leaf scan, hash-chain walk across keys) from
+// RTT-bound into bandwidth-bound.
+func (h *Handle) ReadMulti(mb *MultiBuf, addrs []uint64, n int, cacheable bool) ([][]byte, error) {
+	if mb == nil {
+		mb = new(MultiBuf)
+	}
 	fe := h.c.fe
-	out := make([][]byte, len(addrs))
-	var missIdx []int
-	var ops []rdma.ReadOp
+	mb.slab = slices.Grow(mb.slab[:0], len(addrs)*n)[:len(addrs)*n]
+	mb.out, mb.missIdx, mb.ops = mb.out[:0], mb.missIdx[:0], mb.ops[:0]
 	for i, addr := range addrs {
+		buf := mb.slab[i*n : (i+1)*n : (i+1)*n]
 		view, ok, err := h.local(addr, n, cacheable)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out[i] = append([]byte(nil), view...)
+			mb.out = append(mb.out, buf[:copy(buf, view)])
 			continue
 		}
 		off, err := h.devOff(addr)
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, n)
-		out[i] = buf
-		missIdx = append(missIdx, i)
-		ops = append(ops, rdma.ReadOp{Off: off, Buf: buf})
+		mb.out = append(mb.out, buf)
+		mb.missIdx = append(mb.missIdx, i)
+		mb.ops = append(mb.ops, rdma.ReadOp{Off: off, Buf: buf})
 	}
-	if len(ops) == 0 {
-		return out, nil
+	if len(mb.ops) == 0 {
+		return mb.out, nil
 	}
-	fe.tr.BeginArg(trace.KindFetch, uint64(len(ops)))
-	err := h.c.epReadV(ops)
+	fe.tr.BeginArg(trace.KindFetch, uint64(len(mb.ops)))
+	err := h.c.epReadV(mb.ops)
 	fe.tr.End()
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range missIdx {
-		h.fill(addrs[i], out[i], cacheable)
+	for _, i := range mb.missIdx {
+		h.fill(addrs[i], mb.out[i], cacheable)
 	}
-	return out, nil
+	return mb.out, nil
 }
 
 // ReadUncached is a direct remote read that bypasses cache and overlay

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"bytes"
 	"testing"
 
 	"asymnvm/internal/core"
@@ -193,5 +194,90 @@ func TestBPTreeAllocsUntraced(t *testing.T) {
 	}
 	if absentAllocs != 0 {
 		t.Errorf("Get of an absent key allocates %.1f/op untraced, want 0", absentAllocs)
+	}
+}
+
+// TestHashTableReadAllocsUntraced pins the two lookups the serving tier runs:
+// GetInto appends the value to a buffer its caller keeps, and GetMulti walks
+// eight chains in the table's own scratch — heads, level lists, ReadMulti's
+// slab and miss lists, the slab of matched values. Neither allocates, whether
+// the cache holds the whole table or a tenth of it, where every batch
+// fetches, admits and evicts.
+func TestHashTableReadAllocsUntraced(t *testing.T) {
+	const keys = 1024
+	const footprint = keys*(htHdr+64) + 256*8
+	want := make([][]byte, keys+1)
+	for _, row := range []struct {
+		name  string
+		cache int64
+	}{{"fits", 2 * footprint}, {"tenth", footprint / 10}} {
+		t.Run(row.name, func(t *testing.T) {
+			c := newRig(t).conn(1, core.ModeRC(row.cache))
+			ht, err := CreateHashTable(c, "allocs", Options{Create: testCreate, Buckets: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k <= keys; k++ {
+				want[k] = val(int(k))
+				if err := ht.Put(k, want[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ht.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			x := uint64(0x9E3779B97F4A7C15)
+			next := func() uint64 { // present and, one time in nine, absent
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return x%(keys+keys/8) + 1
+			}
+			var dst []byte
+			batch := make([]uint64, 8)
+			get := func() {
+				k := next()
+				v, ok, err := ht.GetInto(k, dst[:0])
+				if err != nil || ok != (k <= keys) || ok && !bytes.Equal(v, want[k]) {
+					t.Fatalf("get %d: %q ok=%v err=%v", k, v, ok, err)
+				}
+				dst = v
+			}
+			multi := func() {
+				for i := range batch {
+					batch[i] = next()
+				}
+				vals, found, err := ht.GetMulti(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range batch {
+					if found[i] != (k <= keys) || found[i] && !bytes.Equal(vals[i], want[k]) {
+						t.Fatalf("multi-get %d: %q found=%v", k, vals[i], found[i])
+					}
+				}
+			}
+			// One pass brings the cache, its free lists and the table's scratch
+			// to their steady state.
+			for i := 0; i < keys; i++ {
+				get()
+				multi()
+			}
+			evicts := &c.Frontend().Stats().CacheEvict
+			before := evicts.Load()
+			getAllocs := testing.AllocsPerRun(500, get)
+			multiAllocs := testing.AllocsPerRun(500, multi)
+			evicted := evicts.Load() - before
+			t.Logf("untraced hash table: getinto=%.3f getmulti8=%.3f allocs/op, %d evictions", getAllocs, multiAllocs, evicted)
+			if row.cache < footprint && evicted < 1000 {
+				t.Fatalf("%d evictions over 1 000 lookups: the cache was meant to churn", evicted)
+			}
+			if getAllocs != 0 {
+				t.Errorf("GetInto a kept buffer allocates %.3f/op untraced, want 0", getAllocs)
+			}
+			if multiAllocs != 0 {
+				t.Errorf("GetMulti of 8 keys allocates %.3f/op untraced, want 0", multiAllocs)
+			}
+		})
 	}
 }

@@ -44,8 +44,11 @@ type BPTree struct {
 	// Scratch. Handle.Write copies what it is given, so one buffer of each
 	// serves every operation: unit is the image of a node built in memory and
 	// blob the unit a Get fetches a value in. The blob image a put writes is
-	// built in the parameter buffer (blobParams), where Put logs it from.
+	// built in the parameter buffer (blobParams), where Put logs it from. scan
+	// is what Scan reads a leaf's blobs into, each copied out (blobValue)
+	// before the next leaf's.
 	unit, blob []byte
+	scan       core.MultiBuf
 }
 
 // bptMaxDepth bounds a descent: every node but the root keeps at least 15
@@ -536,7 +539,7 @@ func (t *BPTree) Scan(start uint64, limit int) ([]uint64, [][]byte, error) {
 			}
 			next := bptNext(leaf)
 			if len(blobAddrs) > 0 {
-				bufs, err := t.h.ReadMulti(blobAddrs, t.cap+4, false)
+				bufs, err := t.h.ReadMulti(&t.scan, blobAddrs, t.cap+4, false)
 				if err != nil {
 					return err
 				}

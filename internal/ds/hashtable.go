@@ -3,6 +3,7 @@ package ds
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"asymnvm/internal/backend"
 	"asymnvm/internal/core"
@@ -31,11 +32,16 @@ type HashTable struct {
 	// image of the node a put writes (Handle.Write copies).
 	word             [8]byte
 	node, prev, unit []byte
+	// GetMulti's walker, kept for its scratch — the result vectors and the
+	// slab the matched values lie in — and the buffer its rounds are read into.
+	multi htWalker
+	rd    core.MultiBuf
 }
 
 func newHashTable(h *core.Handle, opts Options, writer bool, arr, buckets uint64) *HashTable {
 	t := &HashTable{kvBase: newKVBase(h, opts, writer), buckets: buckets, arr: arr}
 	t.node, t.prev, t.unit = make([]byte, t.nodeSize()), make([]byte, t.nodeSize()), make([]byte, t.nodeSize())
+	t.multi.t = t
 	return t
 }
 
@@ -127,14 +133,6 @@ func (t *HashTable) check(img []byte) error {
 		return fmt.Errorf("ds: corrupt hash node (vlen=%d)", vlen)
 	}
 	return nil
-}
-
-// decodeNode decodes a node image a multi-get fetched, copying the value.
-func (t *HashTable) decodeNode(buf []byte) (next, key uint64, val []byte, err error) {
-	if err := t.check(buf); err != nil {
-		return 0, 0, nil, err
-	}
-	return htNext(buf), htKey(buf), append([]byte(nil), htValue(buf)...), nil
 }
 
 // bucketHead reads the chain head the bucket word at bAddr holds.
@@ -253,12 +251,15 @@ func (t *HashTable) put(key uint64, val []byte) error {
 
 // Get looks a key up. Readers retry under the seqlock. The value is the
 // caller's own copy — the lookup's one allocation.
-func (t *HashTable) Get(key uint64) ([]byte, bool, error) {
+func (t *HashTable) Get(key uint64) ([]byte, bool, error) { return t.GetInto(key, nil) }
+
+// GetInto is Get appending the value to dst, which it returns as it was when
+// the key is absent: a caller that keeps dst looks up without allocating.
+func (t *HashTable) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	t.h.Conn().Frontend().ChargeOp()
-	var out []byte
-	var found bool
+	out, found := dst, false
 	err := readRetry(t.h, func() error {
-		out, found = nil, false
+		out, found = dst, false
 		n, err := t.bucketHead(t.bucketAddr(key))
 		if err != nil {
 			return err
@@ -269,7 +270,7 @@ func (t *HashTable) Get(key uint64) ([]byte, bool, error) {
 				return err
 			}
 			if htKey(img) == key {
-				out, found = append([]byte(nil), htValue(img)...), true
+				out, found = append(dst, htValue(img)...), true
 				return nil
 			}
 			n = htNext(img)
@@ -283,63 +284,23 @@ func (t *HashTable) Get(key uint64) ([]byte, bool, error) {
 // bucket heads are fetched in one doorbell group, then the surviving
 // chains advance level-synchronously — every chain's next node is an
 // independent one-sided read, so a level costs one round trip per
-// queue-depth window instead of one per key. With chains of average
-// length L the whole batch costs about L+1 group round trips where
-// sequential Gets would pay len(keys)·(L+1). Results index-match keys.
+// queue-depth window instead of one per key (htWalker). With chains of
+// average length L the whole batch costs about L+1 group round trips where
+// sequential Gets would pay len(keys)·(L+1). Results index-match keys and
+// are the table's: good until its next GetMulti.
 func (t *HashTable) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 	t.h.Conn().Frontend().ChargeOp()
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
+	w := &t.multi
+	w.vals = slices.Grow(w.vals[:0], len(keys))[:len(keys)]
+	w.found = slices.Grow(w.found[:0], len(keys))[:len(keys)]
 	err := readRetry(t.h, func() error {
-		for i := range vals {
-			vals[i], found[i] = nil, false
-		}
-		bucketAddrs := make([]uint64, len(keys))
-		for i, k := range keys {
-			bucketAddrs[i] = t.bucketAddr(k)
-		}
-		heads, err := t.h.ReadMulti(bucketAddrs, 8, true)
-		if err != nil {
-			return err
-		}
-		// active chains: position index into keys plus current node addr.
-		var idx []int
-		var addrs []uint64
-		for i, hb := range heads {
-			if n := binary.LittleEndian.Uint64(hb); n != 0 {
-				idx = append(idx, i)
-				addrs = append(addrs, n)
-			}
-		}
-		for len(idx) > 0 {
-			bufs, err := t.h.ReadMulti(addrs, t.nodeSize(), true)
-			if err != nil {
-				return err
-			}
-			var nextIdx []int
-			var nextAddrs []uint64
-			for j, buf := range bufs {
-				next, k, v, err := t.decodeNode(buf)
-				if err != nil {
-					return err
-				}
-				if k == keys[idx[j]] {
-					vals[idx[j]], found[idx[j]] = v, true
-					continue
-				}
-				if next != 0 {
-					nextIdx = append(nextIdx, idx[j])
-					nextAddrs = append(nextAddrs, next)
-				}
-			}
-			idx, addrs = nextIdx, nextAddrs
-		}
-		return nil
+		w.start(keys)
+		return runWalker(t.h, w, &t.rd)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return vals, found, nil
+	return w.vals, w.found, nil
 }
 
 // Delete removes a key, reporting whether it existed.

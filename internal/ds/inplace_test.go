@@ -207,6 +207,69 @@ func htStream(t *testing.T, ht *HashTable, drainEvery int) {
 	}
 }
 
+// htMultiKeys is the population of the multi-get stream: with 48 buckets,
+// chains eight or nine nodes long.
+const htMultiKeys = 400
+
+// htMultiFootprint is what that table takes in a cache: its nodes and its
+// bucket words.
+const htMultiFootprint = htMultiKeys*(htHdr+64) + 48*8
+
+// htMultiStream runs the multi-get stream: a populated table, then batches of
+// eight keys — present and absent, some drawn twice — with an update or an
+// insert after every fourth, so that batches also find units in the overlay.
+func htMultiStream(t *testing.T, ht *HashTable, drainEvery int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(22))
+	want := map[uint64][]byte{}
+	top := uint64(0)
+	put := func(k uint64, v []byte) {
+		if err := ht.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	for top < htMultiKeys {
+		top++
+		put(top, val(int(top)))
+		if top%uint64(drainEvery) == 0 {
+			if err := ht.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys := make([]uint64, 8)
+	for i := 0; i < inPlaceOps/2; i++ {
+		for j := range keys {
+			keys[j] = uint64(rng.Intn(int(top+top/8))) + 1
+		}
+		vals, found, err := ht.GetMulti(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, k := range keys {
+			if w, present := want[k]; found[j] != present || !bytes.Equal(vals[j], w) {
+				t.Fatalf("batch %d key %d: %q found=%v, want %q present=%v", i, k, vals[j], found[j], w, present)
+			}
+		}
+		switch i % 8 {
+		case 3:
+			put(uint64(rng.Intn(int(top)))+1, val(i)[:6+rng.Intn(9)])
+		case 7:
+			top++
+			put(top, val(i))
+		}
+		if (i+1)%drainEvery == 0 {
+			if err := ht.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ht.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInPlaceUnchanged: walking and patching unit images where they lie is a
 // host-side change — every verb, byte, cache decision, log entry and clock
 // tick of a fixed operation stream is what the copying structures produced.
@@ -254,6 +317,25 @@ func TestInPlaceUnchanged(t *testing.T) {
 			htStream(t, ht, 32)
 		}, inPlaceFigures{RDMARead: 1504, RDMAWrite: 362, BytesRead: 112344, BytesWrite: 56658, CacheHit: 1339, CacheMiss: 1491, CacheEvict: 1437, MemLogs: 516, Clock: 4383812}},
 	}
+	// The multi-get rows were measured at the commit before HashTable.GetMulti
+	// and Handle.ReadMulti began to walk and read in buffers their owners keep.
+	htMulti := func(t *testing.T, c *core.Conn) {
+		ht, err := CreateHashTable(c, "inplace", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		htMultiStream(t, ht, 32)
+	}
+	rows = append(rows, []struct {
+		name string
+		mode core.Mode
+		run  func(t *testing.T, c *core.Conn)
+		want inPlaceFigures
+	}{
+		{"hashtable/getmulti/RC-fits", core.ModeRC(2 * htMultiFootprint), htMulti, inPlaceFigures{RDMARead: 69, RDMAWrite: 496, BytesRead: 7872, BytesWrite: 93211, CacheHit: 16710, CacheMiss: 48, CacheEvict: 0, MemLogs: 913, Clock: 2932774}},
+		{"hashtable/getmulti/RC-tenth", core.ModeRC(htMultiFootprint / 10), htMulti, inPlaceFigures{RDMARead: 15644, RDMAWrite: 496, BytesRead: 1196872, BytesWrite: 93211, CacheHit: 1135, CacheMiss: 15623, CacheEvict: 14766, MemLogs: 913, Clock: 35217229}},
+		{"hashtable/getmulti/RCB64-pipe8", core.ModeRCB(htMultiFootprint/10, 64).WithPipeline(8), htMulti, inPlaceFigures{RDMARead: 4788, RDMAWrite: 518, BytesRead: 1196872, BytesWrite: 79173, CacheHit: 1135, CacheMiss: 15623, CacheEvict: 14766, MemLogs: 913, Clock: 12917461}},
+	}...)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			c := inPlaceConn(t, newRig(t), row.mode)

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -318,9 +319,14 @@ func (s *Sharded) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 		}
 		if !okv {
 			// Torn by a concurrent commit: re-run this shard through its
-			// own retrying multi-get.
-			if gs.vals, gs.found, err = gs.mkv.GetMulti(gs.keys); err != nil {
+			// own retrying multi-get, whose results may be the shard's and
+			// die at its next one.
+			tv, tf, err := gs.mkv.GetMulti(gs.keys)
+			if err != nil {
 				return nil, nil, err
+			}
+			for j, v := range tv {
+				gs.vals[j], gs.found[j] = bytes.Clone(v), tf[j]
 			}
 		}
 		for j, oi := range gs.orig {

@@ -31,14 +31,16 @@ type getWalker interface {
 	absorb(bufs [][]byte) error
 }
 
-// runWalker drives a walker to completion against its own back-end.
-func runWalker(h *core.Handle, w getWalker) error {
+// runWalker drives a walker to completion against its own back-end, reading
+// every round into mb: nil for a walker that keeps the images of one round
+// past the next.
+func runWalker(h *core.Handle, w getWalker, mb *core.MultiBuf) error {
 	for {
 		req, ok := w.next()
 		if !ok {
 			return nil
 		}
-		bufs, err := h.ReadMulti(req.addrs, req.unit, req.cacheable)
+		bufs, err := h.ReadMulti(mb, req.addrs, req.unit, req.cacheable)
 		if err != nil {
 			return err
 		}
@@ -68,31 +70,45 @@ type multiKV interface {
 
 // --- hash table ---------------------------------------------------------
 
-// htWalker replays HashTable.GetMulti's fetch sequence: one round of
-// bucket heads, then level-synchronous chain rounds.
+// htWalker is the hash table's batched lookup: one round of bucket heads,
+// then level-synchronous chain rounds. It reads the images of a round where
+// absorb is handed them and copies a value only out of the node whose key
+// matched, into slab — so a walker that is kept (HashTable.GetMulti's) walks
+// without allocating.
 type htWalker struct {
 	t     *HashTable
 	keys  []uint64
 	vals  [][]byte
 	found []bool
+	slab  []byte   // the matched values: what vals slice into
+	heads []uint64 // the first round: every key's bucket word
 	idx   []int    // active chains: position in keys
 	addrs []uint64 // active chains: current node address
 	phase int      // 0 = heads round pending, 1 = chain rounds
 }
 
 func (t *HashTable) newGetWalker(keys []uint64, vals [][]byte, found []bool) getWalker {
-	return &htWalker{t: t, keys: keys, vals: vals, found: found}
+	w := &htWalker{t: t, vals: vals, found: found}
+	w.start(keys)
+	return w
 }
 
 func (t *HashTable) readValidate() bool { return true }
 
+// start sets the walker at the beginning of a walk for keys, no key found.
+func (w *htWalker) start(keys []uint64) {
+	w.keys, w.phase = keys, 0
+	w.slab, w.heads, w.idx, w.addrs = w.slab[:0], w.heads[:0], w.idx[:0], w.addrs[:0]
+	clear(w.vals)
+	clear(w.found)
+}
+
 func (w *htWalker) next() (fetchReq, bool) {
 	if w.phase == 0 {
-		bucketAddrs := make([]uint64, len(w.keys))
-		for i, k := range w.keys {
-			bucketAddrs[i] = w.t.bucketAddr(k)
+		for _, k := range w.keys {
+			w.heads = append(w.heads, w.t.bucketAddr(k))
 		}
-		return fetchReq{addrs: bucketAddrs, unit: 8, cacheable: true}, true
+		return fetchReq{addrs: w.heads, unit: 8, cacheable: true}, true
 	}
 	if len(w.idx) == 0 {
 		return fetchReq{}, false
@@ -111,23 +127,22 @@ func (w *htWalker) absorb(bufs [][]byte) error {
 		}
 		return nil
 	}
-	var nextIdx []int
-	var nextAddrs []uint64
-	for j, buf := range bufs {
-		next, k, v, err := w.t.decodeNode(buf)
-		if err != nil {
+	live := 0 // chains that go on, compacted to the front of idx and addrs
+	for j, img := range bufs {
+		if err := w.t.check(img); err != nil {
 			return err
 		}
-		if k == w.keys[w.idx[j]] {
-			w.vals[w.idx[j]], w.found[w.idx[j]] = v, true
-			continue
-		}
-		if next != 0 {
-			nextIdx = append(nextIdx, w.idx[j])
-			nextAddrs = append(nextAddrs, next)
+		i := w.idx[j]
+		if htKey(img) == w.keys[i] {
+			n := len(w.slab)
+			w.slab = append(w.slab, htValue(img)...)
+			w.vals[i], w.found[i] = w.slab[n:len(w.slab):len(w.slab)], true
+		} else if next := htNext(img); next != 0 {
+			w.idx[live], w.addrs[live] = i, next
+			live++
 		}
 	}
-	w.idx, w.addrs = nextIdx, nextAddrs
+	w.idx, w.addrs = w.idx[:live], w.addrs[:live]
 	return nil
 }
 
@@ -282,7 +297,7 @@ func (s *SkipList) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 	}
 	vals := make([][]byte, len(keys))
 	found := make([]bool, len(keys))
-	if err := runWalker(s.h, s.newGetWalker(keys, vals, found)); err != nil {
+	if err := runWalker(s.h, s.newGetWalker(keys, vals, found), nil); err != nil {
 		return nil, nil, err
 	}
 	return vals, found, nil
@@ -399,7 +414,7 @@ func (t *BST) GetMulti(keys []uint64) ([][]byte, []bool, error) {
 		for i := range vals {
 			vals[i], found[i] = nil, false
 		}
-		return runWalker(t.h, t.newGetWalker(keys, vals, found))
+		return runWalker(t.h, t.newGetWalker(keys, vals, found), nil)
 	})
 	t.pol.observe(t.h.Conn().Frontend().Stats())
 	if err != nil {

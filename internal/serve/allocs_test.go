@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"asymnvm/internal/arena"
@@ -161,4 +162,119 @@ type frameSink []byte
 func (s *frameSink) Write(p []byte) (int, error) {
 	*s = append(*s, p...)
 	return len(p), nil
+}
+
+// TestAppendKeepsCapacity pins that encoding into a recycled buffer never
+// trims it: a large, a small and again a large frame built in one buffer
+// share its backing array and allocate nothing. (The encoders once returned
+// the buffer with its capacity clamped to the frame, so every small frame
+// cost the next large one a new buffer.)
+func TestAppendKeepsCapacity(t *testing.T) {
+	val := make([]byte, 400)
+	large := Response{Status: StatusOK, ID: 1, Found: true, Val: val}
+	small := Response{Status: StatusOK, ID: 2}
+	put := Request{Op: OpPut, ID: 3, Key: 9, Val: val}
+	get := Request{Op: OpGet, ID: 4, Key: 9}
+	buf, err := large.AppendFramed(make([]byte, 0, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &buf[0]
+	encode := func(f interface{ AppendFramed([]byte) ([]byte, error) }) {
+		if buf, err = f.AppendFramed(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if &buf[0] != first || cap(buf) != 512 {
+			t.Fatalf("a %d-byte frame moved the buffer or left it cap %d, want 512", len(buf), cap(buf))
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		encode(&large)
+		encode(&small)
+		encode(&large)
+		encode(&put)
+		encode(&get)
+		encode(&put)
+	})
+	if allocs != 0 {
+		t.Errorf("large, small, large into one buffer allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestDecodeKeepsVectors pins that the decoders hold on to the Keys, Vals and
+// Founds vectors across the single-key requests between two multi requests:
+// every kind of the serving mix decoded in turn into one struct, nothing
+// allocated after the first round — and a single-key decode still leaves
+// the vectors nil to its user, which is what selects a response's wire form.
+func TestDecodeKeepsVectors(t *testing.T) {
+	val := []byte("sixty-four bytes, or thereabouts: what the benchmark's values are")
+	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	vals := make([][]byte, len(keys))
+	founds := make([]bool, len(keys))
+	for i := range vals {
+		vals[i], founds[i] = val, true
+	}
+	reqs := []Request{
+		{Op: OpGet, Key: 1},
+		{Op: OpGetMulti, Keys: keys},
+		{Op: OpPut, Key: 1, Val: val},
+		{Op: OpPutMulti, Keys: keys, Vals: vals},
+	}
+	resps := []Response{
+		{Status: StatusOK, Found: true, Val: val},
+		{Status: StatusOK, Founds: founds, Vals: vals},
+		{Status: StatusOK},
+		{Status: StatusOK},
+	}
+	var wire [][]byte
+	for i := range reqs {
+		wire = append(wire, reqs[i].Encode(), resps[i].Encode())
+	}
+	var (
+		req  Request
+		resp Response
+		a    arena.Arena
+	)
+	round := func() {
+		for i := range reqs {
+			a.Reset()
+			if err := DecodeRequestInto(&req, wire[2*i], &a); err != nil {
+				t.Fatal(err)
+			}
+			if len(req.Keys) != len(reqs[i].Keys) || len(req.Vals) != len(reqs[i].Vals) || (req.Keys == nil) != (reqs[i].Keys == nil) {
+				t.Fatalf("op %d decoded with %d keys (nil=%v), %d values", req.Op, len(req.Keys), req.Keys == nil, len(req.Vals))
+			}
+			if err := DecodeResponseInto(&resp, wire[2*i+1], &a); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Founds) != len(resps[i].Founds) || (resp.Founds == nil) != (resps[i].Founds == nil) || (resp.Vals == nil) != (resps[i].Vals == nil) {
+				t.Fatalf("response to op %d decoded with %d founds (nil=%v)", reqs[i].Op, len(resp.Founds), resp.Founds == nil)
+			}
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("get, getmulti, put, putmulti decoded into one struct allocate %.1f/round, want 0", allocs)
+	}
+}
+
+// TestReadFrameIntoZeroAllocs: the length prefix is read into the caller's
+// buffer, so a frame read into a kept buffer allocates nothing.
+func TestReadFrameIntoZeroAllocs(t *testing.T) {
+	framed, err := (&Request{Op: OpPut, Key: 1, Val: make([]byte, 64)}).AppendFramed(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(framed)
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(framed)
+		payload, err := ReadFrameInto(src, buf)
+		if err != nil || !bytes.Equal(payload, framed[4:]) {
+			t.Fatalf("read %d bytes, err=%v", len(payload), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadFrameInto a kept buffer allocates %.1f/frame, want 0", allocs)
+	}
 }

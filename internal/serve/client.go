@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"asymnvm/internal/arena"
 )
 
 // Client is a synchronous protocol client: one request in flight at a
@@ -18,6 +20,10 @@ type Client struct {
 	nextID uint64
 	wbuf   []byte // reused framed-request scratch (client is single-flight)
 	rbuf   []byte // reused response payload scratch
+	// What Do decodes a response into, and so what it returns lies in: the
+	// Founds/Vals vectors and the value bytes.
+	resp Response
+	vals arena.Arena
 }
 
 // Dial connects a client for the given tenant.
@@ -33,7 +39,9 @@ func Dial(addr string, tenant uint16) (*Client, error) {
 func (c *Client) Close() error { return c.nc.Close() }
 
 // Do sends one request and waits for its response. The request's
-// Tenant and ID fields are filled in by the client.
+// Tenant and ID fields are filled in by the client. The response's Val,
+// Founds and Vals lie in buffers the client keeps: they are good until its
+// next Do, and a caller that holds on to them longer copies them.
 func (c *Client) Do(req Request) (Response, error) {
 	c.nextID++
 	req.Tenant = c.tenant
@@ -56,14 +64,14 @@ func (c *Client) Do(req Request) (Response, error) {
 	if cap(payload) > cap(c.rbuf) {
 		c.rbuf = payload[:0]
 	}
-	resp, err := DecodeResponse(payload)
-	if err != nil {
+	c.vals.Reset()
+	if err := DecodeResponseInto(&c.resp, payload, &c.vals); err != nil {
 		return Response{}, err
 	}
-	if resp.ID != req.ID && resp.Status == StatusOK {
-		return Response{}, fmt.Errorf("serve: response id %d for request %d", resp.ID, req.ID)
+	if c.resp.ID != req.ID && c.resp.Status == StatusOK {
+		return Response{}, fmt.Errorf("serve: response id %d for request %d", c.resp.ID, req.ID)
 	}
-	return resp, nil
+	return c.resp, nil
 }
 
 // DoRetryMoved sends one request, transparently retrying while the

@@ -109,6 +109,11 @@ type Request struct {
 	Keys []uint64 // GetMulti/PutMulti
 	Vals [][]byte // PutMulti
 	TxR  uint64   // Tx selector
+
+	// The vectors of an earlier multi request, empty, while a decode into the
+	// same struct (DecodeRequestInto) has left Keys and Vals nil.
+	spareKeys []uint64
+	spareVals [][]byte
 }
 
 // Response is one decoded server response.
@@ -121,6 +126,11 @@ type Response struct {
 	Val    []byte   // Get
 	Founds []bool   // GetMulti
 	Vals   [][]byte // GetMulti
+
+	// As Request's: what Founds and Vals were, kept across a single-value
+	// decode, which must leave Founds nil — AppendTo chooses the form by it.
+	spareFounds []bool
+	spareVals   [][]byte
 }
 
 // reqHeaderLen is magic + op + tenant + id + budget + staleness budget.
@@ -152,7 +162,7 @@ func (r *Request) EncodedLen() int {
 func (r *Request) AppendTo(dst []byte) []byte {
 	n := r.EncodedLen()
 	base := len(dst)
-	dst = slices.Grow(dst, n)[: base+n-4 : base+n]
+	dst = slices.Grow(dst, n)[:base+n-4]
 	buf := dst[base:]
 	buf[0] = ReqMagic
 	buf[1] = r.Op
@@ -206,9 +216,10 @@ func DecodeRequest(src []byte) (Request, error) {
 }
 
 // DecodeRequestInto parses a request payload into r, reusing r's Keys
-// and Vals slices. When a is non-nil, value bytes are copied into the
-// arena (valid until its Reset) instead of freshly allocated; either
-// way the result never aliases src.
+// and Vals slices — those of the last multi request decoded into r, however
+// many single-key ones came between. When a is non-nil, value bytes are
+// copied into the arena (valid until its Reset) instead of freshly
+// allocated; either way the result never aliases src.
 func DecodeRequestInto(r *Request, src []byte, a *arena.Arena) error {
 	body, err := checkCRC(src, ReqMagic)
 	if err != nil {
@@ -217,13 +228,15 @@ func DecodeRequestInto(r *Request, src []byte, a *arena.Arena) error {
 	if len(body) < reqHeaderLen {
 		return ErrShort
 	}
-	keys, vals := r.Keys[:0], r.Vals[:0]
+	keys, vals := reuse(r.Keys, r.spareKeys), reuse(r.Vals, r.spareVals)
 	*r = Request{
 		Op:          body[1],
 		Tenant:      binary.LittleEndian.Uint16(body[2:]),
 		ID:          binary.LittleEndian.Uint64(body[4:]),
 		BudgetNS:    binary.LittleEndian.Uint64(body[12:]),
 		StaleBudget: binary.LittleEndian.Uint32(body[20:]),
+		spareKeys:   keys,
+		spareVals:   vals,
 	}
 	p := body[reqHeaderLen:]
 	switch r.Op {
@@ -242,19 +255,15 @@ func DecodeRequestInto(r *Request, src []byte, a *arena.Arena) error {
 			return ErrShort
 		}
 		r.Val = copyVal(a, p[12:12+vl])
-	case OpGetMulti:
-		keys, _, err = decodeKeys(keys, p)
+	case OpGetMulti, OpPutMulti:
+		keys, rest, err := decodeKeys(keys, p)
 		if err != nil {
 			return err
 		}
-		r.Keys = keys
-	case OpPutMulti:
-		var rest []byte
-		keys, rest, err = decodeKeys(keys, p)
-		if err != nil {
-			return err
+		r.Keys, r.spareKeys = keys, nil
+		if r.Op == OpGetMulti {
+			break
 		}
-		r.Keys = keys
 		vals = slices.Grow(vals, len(keys))
 		for range keys {
 			if len(rest) < 4 {
@@ -267,7 +276,7 @@ func DecodeRequestInto(r *Request, src []byte, a *arena.Arena) error {
 			vals = append(vals, copyVal(a, rest[4:4+vl]))
 			rest = rest[4+vl:]
 		}
-		r.Vals = vals
+		r.Vals, r.spareVals = vals, nil
 	case OpTx:
 		if len(p) < 8 {
 			return ErrShort
@@ -279,6 +288,15 @@ func DecodeRequestInto(r *Request, src []byte, a *arena.Arena) error {
 		return fmt.Errorf("serve: unknown op %d", r.Op)
 	}
 	return nil
+}
+
+// reuse returns, emptied, the vector a decode builds in: the struct's own, or
+// the spare an earlier decode set aside.
+func reuse[T any](own, spare []T) []T {
+	if own == nil {
+		return spare
+	}
+	return own[:0]
 }
 
 // copyVal detaches value bytes from the wire buffer: into the arena when
@@ -334,7 +352,7 @@ func (r *Response) EncodedLen() int {
 func (r *Response) AppendTo(dst []byte) []byte {
 	n := r.EncodedLen()
 	base := len(dst)
-	dst = slices.Grow(dst, n)[: base+n-4 : base+n]
+	dst = slices.Grow(dst, n)[:base+n-4]
 	buf := dst[base:]
 	buf[0] = RespMagic
 	buf[1] = r.Status
@@ -380,7 +398,8 @@ func DecodeResponse(src []byte) (Response, error) {
 }
 
 // DecodeResponseInto parses a response payload into r, reusing r's
-// Founds and Vals slices; value bytes go to the arena when a is non-nil.
+// Founds and Vals slices as DecodeRequestInto does; value bytes go to the
+// arena when a is non-nil.
 func DecodeResponseInto(r *Response, src []byte, a *arena.Arena) error {
 	body, err := checkCRC(src, RespMagic)
 	if err != nil {
@@ -389,11 +408,13 @@ func DecodeResponseInto(r *Response, src []byte, a *arena.Arena) error {
 	if len(body) < respHeaderLen {
 		return ErrShort
 	}
-	founds, vals := r.Founds[:0], r.Vals[:0]
+	founds, vals := reuse(r.Founds, r.spareFounds), reuse(r.Vals, r.spareVals)
 	*r = Response{
 		Status:       body[1],
 		ID:           binary.LittleEndian.Uint64(body[2:]),
 		RetryAfterNS: binary.LittleEndian.Uint64(body[10:]),
+		spareFounds:  founds,
+		spareVals:    vals,
 	}
 	p := body[respHeaderLen:]
 	if len(p) >= 5 && len(p) == 5+int(binary.LittleEndian.Uint32(p[1:])) {
@@ -426,6 +447,7 @@ func DecodeResponseInto(r *Response, src []byte, a *arena.Arena) error {
 		p = p[5+vl:]
 	}
 	r.Founds, r.Vals = founds, vals
+	r.spareFounds, r.spareVals = nil, nil
 	return nil
 }
 
@@ -498,13 +520,16 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // ReadFrameInto reads one length-prefixed payload into buf (grown as
 // needed), returning the payload slice. The returned slice aliases buf's
 // backing array and is valid until the next call with the same buf —
-// callers that queue the payload must decode (and detach) first.
+// callers that queue the payload must decode (and detach) first. The length
+// prefix is read into buf too, ahead of the payload that overwrites it.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if n > MaxFrame {
 		return nil, ErrTooLarge
 	}

@@ -3,9 +3,15 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"asymnvm/internal/arena"
 )
 
-// Item is one admitted request waiting for the executor.
+// Item is one admitted request waiting for the executor. The server recycles
+// its items: one holds a request from the decode of its frame to the reply,
+// and everything the request's bytes live in comes back with it — the
+// Keys/Vals vectors inside Req, the arena its values were copied into, the
+// buffer a get's value is staged in on its way into the response frame.
 type Item struct {
 	Req        Request
 	Read       bool          // cheap read: gets the priority band
@@ -15,6 +21,36 @@ type Item struct {
 	// Reply delivers the response toward the client. Nil in the
 	// simulator, which does its own bookkeeping.
 	Reply func(Response)
+
+	vals arena.Arena // Req's value bytes
+	val  []byte      // a get's value, staged for the reply
+}
+
+// itemRing is one band of the run queue: a fixed ring, so neither end's push
+// nor the pop moves or allocates anything.
+type itemRing struct {
+	slots   []*Item
+	head, n int
+}
+
+func (r *itemRing) pushBack(it *Item) {
+	r.slots[(r.head+r.n)%len(r.slots)] = it
+	r.n++
+}
+
+func (r *itemRing) pushFront(it *Item) {
+	r.head = (r.head + len(r.slots) - 1) % len(r.slots)
+	r.slots[r.head] = it
+	r.n++
+}
+
+// popFront takes the head, leaving no reference to it in the slot.
+func (r *itemRing) popFront() *Item {
+	it := r.slots[r.head]
+	r.slots[r.head] = nil
+	r.head = (r.head + 1) % len(r.slots)
+	r.n--
+	return it
 }
 
 // RunQueue is the bounded two-band run queue between admission and the
@@ -26,11 +62,10 @@ type Item struct {
 // FIFO would burn the pipeline draining requests that already expired —
 // the adaptive-LIFO trick. Safe for concurrent use.
 type RunQueue struct {
-	mu     sync.Mutex
-	reads  []*Item
-	writes []*Item
-	cap    int
-	lifoAt int // occupancy threshold where LIFO kicks in
+	mu            sync.Mutex
+	reads, writes itemRing // each can hold the whole queue
+	cap           int
+	lifoAt        int // occupancy threshold where LIFO kicks in
 }
 
 // NewRunQueue builds a queue holding at most capacity items, flipping
@@ -42,14 +77,19 @@ func NewRunQueue(capacity int, lifoFrac float64) *RunQueue {
 	if lifoFrac <= 0 || lifoFrac > 1 {
 		lifoFrac = 0.5
 	}
-	return &RunQueue{cap: capacity, lifoAt: int(float64(capacity) * lifoFrac)}
+	return &RunQueue{
+		reads:  itemRing{slots: make([]*Item, capacity)},
+		writes: itemRing{slots: make([]*Item, capacity)},
+		cap:    capacity,
+		lifoAt: int(float64(capacity) * lifoFrac),
+	}
 }
 
 // Push enqueues an item; false means the queue is full (caller sheds).
 func (q *RunQueue) Push(it *Item) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	n := len(q.reads) + len(q.writes)
+	n := q.reads.n + q.writes.n
 	if n >= q.cap {
 		return false
 	}
@@ -58,12 +98,9 @@ func (q *RunQueue) Push(it *Item) bool {
 		band = &q.reads
 	}
 	if n >= q.lifoAt {
-		// LIFO under overload: newest first.
-		*band = append(*band, nil)
-		copy((*band)[1:], *band)
-		(*band)[0] = it
+		band.pushFront(it) // LIFO under overload: newest first
 	} else {
-		*band = append(*band, it)
+		band.pushBack(it)
 	}
 	return true
 }
@@ -72,15 +109,11 @@ func (q *RunQueue) Push(it *Item) bool {
 func (q *RunQueue) Pop() *Item {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.reads) > 0 {
-		it := q.reads[0]
-		q.reads = q.reads[1:]
-		return it
+	if q.reads.n > 0 {
+		return q.reads.popFront()
 	}
-	if len(q.writes) > 0 {
-		it := q.writes[0]
-		q.writes = q.writes[1:]
-		return it
+	if q.writes.n > 0 {
+		return q.writes.popFront()
 	}
 	return nil
 }
@@ -89,7 +122,7 @@ func (q *RunQueue) Pop() *Item {
 func (q *RunQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.reads) + len(q.writes)
+	return q.reads.n + q.writes.n
 }
 
 // Cap reports the queue bound.

@@ -37,6 +37,10 @@ type rig struct {
 func newRig(t *testing.T) *rig { return newRigValueCap(t, 0) }
 
 func newRigValueCap(t *testing.T, valueCap int) *rig {
+	return newRigMode(t, core.Mode{OpLog: true, Batch: 4, Pipeline: 8}, valueCap)
+}
+
+func newRigMode(t *testing.T, mode core.Mode, valueCap int) *rig {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.DeviceBytes = 128 << 20
@@ -45,7 +49,7 @@ func newRigValueCap(t *testing.T, valueCap int) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(clu.Stop)
-	fe, conns, err := clu.NewFrontend(1, core.Mode{OpLog: true, Batch: 4, Pipeline: 8})
+	fe, conns, err := clu.NewFrontend(1, mode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"asymnvm/internal/arena"
 	"asymnvm/internal/core"
 	"asymnvm/internal/ds"
 	"asymnvm/internal/ring"
@@ -82,9 +80,13 @@ type Server struct {
 	adm  *Admission
 	q    *RunQueue
 
-	ln     net.Listener
-	wake   *ring.Doorbell
-	frames arena.Pool // outbound wire frames, recycled across connections
+	ln   net.Listener
+	wake *ring.Doorbell
+	// Who owns a request's bytes (DESIGN.md): an item from the decode of its
+	// frame to the reply, a frame from its encode until it is written.
+	items  freeList[*Item]
+	frames freeList[[]byte]
+	poison bool // tests: overwrite what goes back to either list
 	done   chan struct{}
 	wg     sync.WaitGroup
 	connMu sync.Mutex
@@ -108,13 +110,86 @@ func New(b Backends, opts Options) *Server {
 		opts.Admission.CapacityFn = CapacityFromAutoTune(b.FE, 8)
 	}
 	return &Server{
-		opts:  opts,
-		b:     b,
-		adm:   NewAdmission(opts.Admission),
-		q:     NewRunQueue(opts.QueueCap, opts.LIFOFrac),
-		wake:  ring.NewDoorbell(),
-		done:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
+		opts:   opts,
+		b:      b,
+		adm:    NewAdmission(opts.Admission),
+		q:      NewRunQueue(opts.QueueCap, opts.LIFOFrac),
+		wake:   ring.NewDoorbell(),
+		items:  freeList[*Item]{free: make([]*Item, 0, opts.QueueCap)},
+		frames: freeList[[]byte]{free: make([][]byte, 0, opts.QueueCap)},
+		done:   make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
+	}
+}
+
+// freeList is a bounded stack of recycled values the tier's goroutines
+// share: typed, so nothing is boxed on its way in, and last-in-first-out, so
+// what is taken next is what was warm last. Its capacity is the bound: put
+// drops what does not fit.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+func (l *freeList[T]) get() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		var zero T
+		v, ok = l.free[n-1], true
+		l.free[n-1] = zero
+		l.free = l.free[:n-1]
+	}
+	return v, ok
+}
+
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < cap(l.free) {
+		l.free = append(l.free, v)
+	}
+}
+
+// minFrameCap keeps a small first response from seeding the frame list with
+// capacities the first get reply would have to replace.
+const minFrameCap = 512
+
+// frame returns an empty wire frame with room for n bytes.
+func (s *Server) frame(n int) []byte {
+	if b, ok := s.frames.get(); ok && cap(b) >= n {
+		return b[:0]
+	}
+	return make([]byte, 0, max(n, minFrameCap))
+}
+
+// recycle takes a frame back once no goroutine reads it any more.
+func (s *Server) recycle(b []byte) {
+	s.scrub(b[:cap(b)])
+	s.frames.put(b)
+}
+
+// release takes an item back, after its reply: the response's bytes may lie
+// in it.
+func (s *Server) release(it *Item) {
+	s.scrub(it.Req.Val)
+	for _, v := range it.Req.Vals {
+		s.scrub(v)
+	}
+	s.scrub(it.val[:cap(it.val)])
+	it.Reply = nil
+	it.vals.Reset()
+	s.items.put(it)
+}
+
+// scrub is the tests' hook: with poison set, what goes back to a free list is
+// overwritten at once, so a reply or an executor that still reads it fails an
+// oracle instead of passing by luck.
+func (s *Server) scrub(b []byte) {
+	if s.poison {
+		for i := range b {
+			b[i] = 0xDB
+		}
 	}
 }
 
@@ -189,10 +264,11 @@ func (s *Server) dropConn(nc net.Conn) {
 
 // handleConn runs one connection: a reader loop in this goroutine and a
 // bounded writer goroutine. Responses (from admission rejections here
-// and from the executor) are encoded straight into pooled pre-framed
-// buffers and funnel through a lock-free MPSC ring; a full ring or a
-// write running past SlowWrite marks the client slow and drops it — the
-// executor never blocks on a socket. The ring's close semantics make
+// and from the executor) are encoded straight into recycled pre-framed
+// buffers — the server's typed frame list: a frame is its reply's from the
+// encode until the writer has written it — and funnel through a lock-free
+// MPSC ring; a full ring or a write running past SlowWrite marks the client
+// slow and drops it — the executor never blocks on a socket. The ring's close semantics make
 // the teardown race benign: a reply racing the reader's exit just fails
 // its Push and recycles the frame, so no mutex guards the hot path.
 func (s *Server) handleConn(nc net.Conn) {
@@ -231,7 +307,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			}
 			nc.SetWriteDeadline(time.Now().Add(s.opts.SlowWrite))
 			_, err := nc.Write(buf) // frame prefix + payload in one write
-			s.frames.Put(buf)
+			s.recycle(buf)
 			if err != nil {
 				slow := false
 				var nerr net.Error
@@ -245,22 +321,21 @@ func (s *Server) handleConn(nc net.Conn) {
 		}
 	}()
 	reply := func(r Response) {
-		buf, err := r.AppendFramed(s.frames.Get(4 + r.EncodedLen()))
+		buf, err := r.AppendFramed(s.frame(4 + r.EncodedLen()))
 		if err != nil {
-			s.frames.Put(buf)
+			s.recycle(buf)
 			drop(false)
 			return
 		}
 		if !out.Push(buf) {
 			// Ring full (client not draining) or connection torn down.
-			s.frames.Put(buf)
+			s.recycle(buf)
 			drop(true)
 			return
 		}
 		bell.Ring()
 	}
 	var rbuf []byte
-	var req Request
 	for {
 		payload, err := ReadFrameInto(nc, rbuf)
 		if err != nil {
@@ -269,14 +344,9 @@ func (s *Server) handleConn(nc net.Conn) {
 		if cap(payload) > cap(rbuf) {
 			rbuf = payload[:0]
 		}
-		// DecodeRequestInto detaches all value bytes from payload, so the
-		// read buffer is safe to reuse even though items are queued.
-		if err := DecodeRequestInto(&req, payload, nil); err != nil {
-			reply(Response{Status: StatusBadRequest})
-			continue
-		}
-		s.route(req, reply)
-		req = Request{} // queued item owns the decoded slices now
+		// accept's decode detaches all value bytes from payload, so the read
+		// buffer is safe to reuse even though items are queued.
+		s.accept(payload, reply)
 	}
 	drop(false)
 	out.Close()
@@ -289,19 +359,37 @@ func (s *Server) handleConn(nc net.Conn) {
 		if !ok {
 			break
 		}
-		s.frames.Put(buf)
+		s.recycle(buf)
 	}
 }
 
-// route admits one request. Time is the writer's virtual clock: queue
-// deadlines are measured in the same units the core charges latency to,
-// so a request behind an expensive queue prefix sees that cost against
-// its budget.
-func (s *Server) route(req Request, reply func(Response)) {
-	st := s.b.FE.Stats()
-	if req.Op == OpPing {
-		reply(Response{Status: StatusOK, ID: req.ID})
+// accept decodes one request payload into a recycled item and routes it.
+func (s *Server) accept(payload []byte, reply func(Response)) {
+	it, ok := s.items.get()
+	if !ok {
+		it = new(Item)
+	}
+	if err := DecodeRequestInto(&it.Req, payload, &it.vals); err != nil {
+		s.release(it)
+		reply(Response{Status: StatusBadRequest})
 		return
+	}
+	it.Reply = reply
+	if !s.route(it) {
+		s.release(it)
+	}
+}
+
+// route admits one request, reporting whether the run queue took the item:
+// one it did not take has been answered. Time is the writer's virtual clock:
+// queue deadlines are measured in the same units the core charges latency
+// to, so a request behind an expensive queue prefix sees that cost against
+// its budget.
+func (s *Server) route(it *Item) bool {
+	st, req := s.b.FE.Stats(), &it.Req
+	if req.Op == OpPing {
+		it.Reply(Response{Status: StatusOK, ID: req.ID})
+		return false
 	}
 	now := s.b.FE.Clock().Now()
 	dec := s.adm.Admit(req.Tenant, now)
@@ -311,26 +399,39 @@ func (s *Server) route(req Request, reply func(Response)) {
 		} else {
 			st.ServeRejected.Add(1)
 		}
-		reply(Response{Status: dec.Status, ID: req.ID, RetryAfterNS: dec.RetryAfterNS})
-		return
+		it.Reply(Response{Status: dec.Status, ID: req.ID, RetryAfterNS: dec.RetryAfterNS})
+		return false
 	}
-	it := &Item{
-		Req:       req,
-		Read:      req.Op == OpGet || req.Op == OpGetMulti,
-		ArrivedAt: now,
-		Reply:     reply,
-	}
+	it.Read = req.Op == OpGet || req.Op == OpGetMulti
+	it.ArrivedAt, it.DeadlineAt = now, 0
 	if req.BudgetNS > 0 {
 		it.DeadlineAt = now + time.Duration(req.BudgetNS)
 	}
 	if !s.q.Push(it) {
 		s.adm.Done()
 		st.ServeRejected.Add(1)
-		reply(Response{Status: StatusOverload, ID: req.ID, RetryAfterNS: s.adm.retryAfter(s.opts.Admission.RetryAfterMin)})
-		return
+		it.Reply(Response{Status: StatusOverload, ID: req.ID, RetryAfterNS: s.adm.retryAfter(s.opts.Admission.RetryAfterMin)})
+		return false
 	}
 	st.ServeAccepted.Add(1)
 	s.wake.Ring()
+	return true
+}
+
+// Inline serves one request payload on the caller's goroutine — the reader's
+// decode and admission, the run queue, the executor's exec, the reply — with
+// no socket and no goroutine between them. It is for a server that was not
+// Started: the caller is its executor.
+func (s *Server) Inline(payload []byte, reply func(Response)) {
+	s.accept(payload, reply)
+	s.drain()
+}
+
+// drain runs what is queued.
+func (s *Server) drain() {
+	for it := s.q.Pop(); it != nil; it = s.q.Pop() {
+		s.exec(it)
+	}
 }
 
 // executor is the single goroutine operating the writer front-end and
@@ -350,13 +451,7 @@ func (s *Server) executor() {
 			return
 		default:
 		}
-		for {
-			it := s.q.Pop()
-			if it == nil {
-				break
-			}
-			s.exec(it)
-		}
+		s.drain()
 	}
 }
 
@@ -369,6 +464,7 @@ func (s *Server) executor() {
 // the deadline decides whether work starts, not whether it finishes.
 func (s *Server) exec(it *Item) {
 	fe, st := s.b.FE, s.b.FE.Stats()
+	defer s.release(it) // runs last: the response's value may be staged in the item
 	defer s.adm.Done()
 	now := fe.Clock().Now()
 	if it.DeadlineAt > 0 && now >= it.DeadlineAt {
@@ -380,7 +476,7 @@ func (s *Server) exec(it *Item) {
 		fe.SetDeadline(it.DeadlineAt)
 		defer fe.ClearDeadline()
 	}
-	resp := s.execOp(it.Req)
+	resp := s.execOp(it)
 	resp.ID = it.Req.ID
 	it.Reply(resp)
 }
@@ -423,21 +519,32 @@ func (s *Server) countMirrorRead(lag uint64) {
 	s.b.FE.Tracer().Event(trace.KindMirrorRead, lag)
 }
 
-func (s *Server) execOp(req Request) Response {
+// get looks the item's key up in kv, staging the value in the item.
+func (it *Item) get(kv *ds.HashTable) (Response, error) {
+	v, found, err := kv.GetInto(it.Req.Key, it.val[:0])
+	it.val = v
+	return Response{Status: StatusOK, Found: found, Val: v}, err
+}
+
+// execOp runs the item's request. A get's value lies in the item and a
+// multi-get's in the table (ds.HashTable.GetMulti): good for the reply that
+// follows at once.
+func (s *Server) execOp(it *Item) Response {
+	req := &it.Req
 	switch req.Op {
 	case OpGet:
 		if kv, lag, ok := s.mirrorSource(req.StaleBudget); ok {
-			if v, found, err := kv.Get(req.Key); err == nil {
+			if resp, err := it.get(kv); err == nil {
 				s.countMirrorRead(lag)
-				return Response{Status: StatusOK, Found: found, Val: v}
+				return resp
 			}
 			// A failed mirror read falls back to the primary below.
 		}
-		v, ok, err := s.b.KV.Get(req.Key)
+		resp, err := it.get(s.b.KV)
 		if err != nil {
 			return errResponse(err)
 		}
-		return Response{Status: StatusOK, Found: ok, Val: v}
+		return resp
 	case OpPut:
 		if err := s.b.KV.Put(req.Key, req.Val); err != nil {
 			return errResponse(err)
@@ -499,5 +606,5 @@ func errResponse(err error) Response {
 	if errors.Is(err, core.ErrMoved) {
 		return Response{Status: StatusMoved, RetryAfterNS: movedRetryNS}
 	}
-	return Response{Status: StatusError, Val: []byte(fmt.Sprintf("%v", err))}
+	return Response{Status: StatusError, Val: []byte(err.Error())}
 }
